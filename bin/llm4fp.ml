@@ -4,14 +4,20 @@
      generate   print candidate programs from any approach's generator
      matrix     compile & run one program under all 18 configurations
      campaign   run a full campaign for one approach and print statistics
-     tables     run all four campaigns and print every paper table/figure
+     fleet      supervise sharded campaign processes over a chunked budget
+     merge      merge a fleet root's chunks into one combined record
+     tables     run the suite's campaigns and print every paper table/figure
      profile    run a small campaign with span timing and print the profile
-     corpus     list or show the mock LLM's kernel corpus
      explain    replay an archived inconsistency case and isolate its cause
      fuzz       run seeded property suites over the framework invariants
      dashboard  render the analytics dashboard from a case archive
      watch      tail a campaign trace and render the live flight deck
-     trace      query an archived JSONL trace (filter / stats / CSV) *)
+     trace      query an archived JSONL trace (filter / stats / CSV)
+     coverage   fold a trace's coverage events into the search-space ledger
+     corpus     list or show the mock LLM's kernel corpus
+     ablation   replay one LLM4FP corpus under ablated compiler models
+     precision  compare FP64 and FP32 campaigns (Varity and LLM4FP)
+     stability  Table-2 inconsistency rates across several seeds *)
 
 open Cmdliner
 
@@ -127,6 +133,17 @@ let write_file path content =
   | Unix.Unix_error (e, _, _) ->
     prerr_endline ("cannot write output file: " ^ Unix.error_message e);
     exit 1
+
+(* Create an output directory (and its parents) up front, so a bad path
+   fails before any campaign runs rather than after. *)
+let make_out_dir dir =
+  let fail why =
+    prerr_endline ("cannot create output directory " ^ dir ^ ": " ^ why);
+    exit 1
+  in
+  match Util.Durable.mkdir_p dir with
+  | () -> if not (Sys.is_directory dir) then fail "not a directory"
+  | exception Unix.Unix_error (e, _, _) -> fail (Unix.error_message e)
 
 let approach_arg =
   let parse s =
@@ -1033,6 +1050,7 @@ let cmd_tables =
       prerr_endline "--csv needs --out DIR";
       exit 1
     end;
+    if csv then Option.iter make_out_dir out;
     let sections =
       with_trace trace (fun () ->
           let suite = Harness.Experiments.run_suite ~budget ~jobs ~seed () in
@@ -1059,7 +1077,6 @@ let cmd_tables =
     end);
     (match (csv, out) with
     | true, Some dir ->
-      if not (Sys.file_exists dir) then Unix.mkdir dir 0o755;
       List.iter
         (fun (s : Harness.Experiments.section) ->
           match s.Harness.Experiments.csv with

@@ -245,14 +245,6 @@ let run binary inputs =
   account binary out;
   out
 
-let run_batch binary inputs_list =
-  Obs.Span.with_span "compiler.interp" @@ fun () ->
-  match Atomic.get current_engine with
-  | Tree ->
-    let rt = Config.runtime binary.config in
-    List.map (fun inputs -> Irsim.Interp.run rt binary.ir inputs) inputs_list
-  | Vm -> Irsim.Vm.run_batch binary.vm inputs_list
-
 let run_hex binary inputs = Fp.Bits.hex_of_double (run binary inputs).result
 
 let matrix ?configs ?(jobs = 1) program =

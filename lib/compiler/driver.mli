@@ -38,11 +38,11 @@ type binary = {
   work : int;       (** IR node count, the compile/execute cost proxy *)
 }
 
-(** Which execution engine {!run} and {!run_batch} dispatch to. [Vm]
-    (the default) runs the flattened program cached on the binary; [Tree]
-    runs the reference tree-walking interpreter. The two are bit-exact —
-    the [vm-equiv] property suite, the difftest suites, and the bench
-    equivalence drill all assert it — so the toggle exists for A/B
+(** Which execution engine {!run} dispatches to. [Vm] (the default)
+    runs the flattened program cached on the binary; [Tree] runs the
+    reference tree-walking interpreter. The two are bit-exact — the
+    [vm-equiv] property suite, the difftest suites, and the harness
+    engine-equivalence test all assert it — so the toggle exists for A/B
     measurement and for re-validating the VM against the reference. *)
 type engine = Tree | Vm
 
@@ -57,8 +57,8 @@ val set_engine : engine -> unit
 
 val set_engine_of_env : unit -> unit
 (** Apply [LLM4FP_ENGINE] ("tree" | "vm") if set and non-empty. Raises
-    [Invalid_argument] on an unrecognized value. Call sites (CLI, bench)
-    invoke this explicitly at startup, like {!Exec.Faults.of_env}. *)
+    [Invalid_argument] on an unrecognized value. The CLI invokes this
+    explicitly at startup, like {!Exec.Faults.of_env}. *)
 
 val of_ir :
   config:Config.t -> source:string -> work:int -> Irsim.Ir.t -> binary
@@ -116,13 +116,6 @@ val account : binary -> Irsim.Interp.outcome -> unit
 
 val run : binary -> Irsim.Inputs.t -> Irsim.Interp.outcome
 (** [execute] + [account]: the historic one-call entry point. *)
-
-val run_batch : binary -> Irsim.Inputs.t list -> Irsim.Interp.outcome list
-(** Execute every input vector against one binary in a single pass,
-    reusing the VM's register state across vectors (per-call on the tree
-    engine). Raw like {!execute}: one [compiler.interp] span, no
-    metrics, no trace events, no fault injection — the throughput entry
-    point for bench and batch callers. *)
 
 val run_hex : binary -> Irsim.Inputs.t -> string
 (** The 16-character hexadecimal encoding of the printed result — the

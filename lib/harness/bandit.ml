@@ -292,7 +292,7 @@ let restore t json =
     posts;
   Ok ()
 
-(* Per-arm rows for reports and the bench summary, in fixed arm order:
+(* Per-arm rows for reports (the CLI's per-arm table), in fixed arm order:
    (name, pulls, inconsistencies, sim seconds, windowless lifetime
    rate). *)
 let table t =

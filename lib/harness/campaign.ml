@@ -486,8 +486,8 @@ let run ?(budget = 1000) ?(precision = Lang.Ast.F64) ?(jobs = 1) ?recorder
     bandit;
   }
 
-(* The equality key used by determinism drills (bench, checkpoint and
-   engine-equivalence tests): everything about an outcome that must be
+(* The equality key used by determinism drills (the checkpoint, observer
+   and engine-equivalence tests): everything about an outcome that must be
    invariant under jobs, checkpointing, observation, and execution
    engine — but not the real-time measurements, which always differ. *)
 let signature (o : outcome) =

@@ -116,8 +116,7 @@ val signature : outcome -> int * int * int * int * float
     generation failures, simulated seconds): the outcome fields that
     every determinism drill asserts invariant — under job count,
     checkpoint/resume, attached observers, and execution engine. Shared
-    by bench and the equivalence tests so they all compare the same
-    key. *)
+    by the equivalence tests so they all compare the same key. *)
 
 val strategy_mix_probability : float
 (** 0.5 — the paper's fixed probability of choosing Feedback-Based

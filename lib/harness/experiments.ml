@@ -480,6 +480,3 @@ let sections ?max_pairs ?jobs suite =
        tab "table6" (table6_data suite);
        tab "features" (feature_statistics_data suite);
        tab "bandit" (bandit_ablation_data suite) ]
-
-let all_tables ?max_pairs ?jobs suite =
-  List.map (fun s -> (s.name, s.text)) (sections ?max_pairs ?jobs suite)

@@ -76,10 +76,6 @@ type section = {
 val sections : ?max_pairs:int -> ?jobs:int -> suite -> section list
 (** Every table and figure, in paper order. *)
 
-val all_tables : ?max_pairs:int -> ?jobs:int -> suite -> (string * string) list
-(** [(name, rendered)] for every table and figure, in paper order
-    (= {!sections} without the CSV view). *)
-
 val bandit_ablation : suite -> string
 (** This reproduction's bandit ablation: the ensemble campaign against
     every fixed arm at equal budget, compared on the bandit's objective

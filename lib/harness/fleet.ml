@@ -157,8 +157,8 @@ let precision_name = function Lang.Ast.F64 -> "fp64" | Lang.Ast.F32 -> "fp32"
 
 type chunk_run = Skipped | Resumed | Fresh
 
-let run_chunk ?(jobs = 1) ?(precision = Lang.Ast.F64) ?(interval = 5)
-    ?(trace = true) ~root approach (slice : Shard.slice) =
+let run_chunk ?(jobs = 1) ?(precision = Lang.Ast.F64) ?(interval = 5) ~root
+    approach (slice : Shard.slice) =
   let dir = chunk_dir ~root slice.Shard.chunk in
   let done_path = outcome_path dir in
   if Sys.file_exists done_path then
@@ -188,18 +188,15 @@ let run_chunk ?(jobs = 1) ?(precision = Lang.Ast.F64) ?(interval = 5)
         approach
     in
     let o =
-      if not trace then campaign ()
-      else begin
-        let oc =
-          match resume with
-          | Some snap -> Checkpoint.reopen_trace ~path:(trace_path dir) snap
-          | None -> open_out_bin (trace_path dir)
-        in
-        Fun.protect
-          ~finally:(fun () -> close_out oc)
-          (fun () ->
-            Obs.Trace.with_sink (Obs.Sink.ordered (Obs.Sink.jsonl oc)) campaign)
-      end
+      let oc =
+        match resume with
+        | Some snap -> Checkpoint.reopen_trace ~path:(trace_path dir) snap
+        | None -> open_out_bin (trace_path dir)
+      in
+      Fun.protect
+        ~finally:(fun () -> close_out oc)
+        (fun () ->
+          Obs.Trace.with_sink (Obs.Sink.ordered (Obs.Sink.jsonl oc)) campaign)
     in
     let fingerprints, _, _ = Difftest.Recorder.snapshot recorder in
     let outcome =
@@ -223,14 +220,14 @@ let run_chunk ?(jobs = 1) ?(precision = Lang.Ast.F64) ?(interval = 5)
     Ok (outcome, if resume = None then Fresh else Resumed)
   end
 
-let run_shard ?chunk ?jobs ?precision ?interval ?trace ?on_chunk ~root
-    ~spec ~budget ~seed approach =
+let run_shard ?chunk ?jobs ?precision ?interval ?on_chunk ~root ~spec ~budget
+    ~seed approach =
   let slices = Shard.assigned spec (Shard.plan ?chunk ~budget ~seed ()) in
   List.fold_left
     (fun acc slice ->
       let* acc = acc in
-      let* outcome, how = run_chunk ?jobs ?precision ?interval ?trace ~root
-          approach slice
+      let* outcome, how =
+        run_chunk ?jobs ?precision ?interval ~root approach slice
       in
       Option.iter (fun f -> f outcome how) on_chunk;
       Ok (outcome :: acc))

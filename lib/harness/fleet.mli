@@ -73,7 +73,6 @@ val run_chunk :
   ?jobs:int ->
   ?precision:Lang.Ast.precision ->
   ?interval:int ->
-  ?trace:bool ->
   root:string ->
   Approach.t ->
   Shard.slice ->
@@ -82,9 +81,9 @@ val run_chunk :
     {!Campaign.run} with the slice's derived seed, budget and
     [slot_offset = first_slot - 1], recording into the chunk archive,
     checkpointing every [interval] slots (default 5) into the chunk's
-    checkpoint directory, and — unless [trace] is [false] (in-process
-    benchmarking: the trace sink is process-global) — writing the
-    chunk's ordered JSONL trace. A pre-existing [outcome.json] is
+    checkpoint directory, and writing the chunk's ordered JSONL trace
+    (the trace sink is process-global, so in-process shards must take
+    turns). A pre-existing [outcome.json] is
     validated against the slice and returned as {!Skipped}. *)
 
 val run_shard :
@@ -92,7 +91,6 @@ val run_shard :
   ?jobs:int ->
   ?precision:Lang.Ast.precision ->
   ?interval:int ->
-  ?trace:bool ->
   ?on_chunk:(chunk_outcome -> chunk_run -> unit) ->
   root:string ->
   spec:Shard.spec ->

@@ -21,8 +21,8 @@
     {!Interp.Trap} as the reference engine).
 
     Results are bit-exact with {!Interp.run} — same values, same
-    [fp_ops] — which the [vm-equiv] property suite and the bench
-    equivalence drill enforce. *)
+    [fp_ops] — which the [vm-equiv] property suite and the harness
+    engine-equivalence test enforce. *)
 
 type program
 (** A flattened, runtime-bound program, ready to execute many times. *)

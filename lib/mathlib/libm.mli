@@ -23,8 +23,8 @@
       for the common transcendentals, heavier perturbation elsewhere.
 
     Divergence probabilities are the model's central calibration knobs;
-    they live in {!profiles_doc} and are reported by the benchmark
-    harness. *)
+    they live in {!profiles_doc} and are printed in the summary section
+    of [llm4fp tables]. *)
 
 type flavor =
   | Glibc

@@ -1,5 +1,5 @@
 (* Minimal deterministic JSON — just enough for the trace sinks and the
-   bench harness, with byte-stable serialization: object fields keep
+   on-disk snapshots, with byte-stable serialization: object fields keep
    their construction order and floats use the shortest decimal that
    round-trips, so a fixed-seed trace file is reproducible byte for
    byte. *)

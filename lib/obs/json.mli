@@ -1,4 +1,4 @@
-(** Minimal deterministic JSON for trace sinks and bench output.
+(** Minimal deterministic JSON for trace sinks and on-disk snapshots.
 
     Serialization is byte-stable: object fields keep construction order
     and floats print as the shortest decimal that round-trips, so two

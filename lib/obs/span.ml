@@ -134,8 +134,8 @@ type row = {
 
 let summary () =
   (* Flat view: merge paths on their leaf label, so per-label totals are
-     independent of where in the tree a span ran (the pre-tree
-     behaviour, and what the bench "phases" output keys on). *)
+     independent of where in the tree a span ran (what the [profile]
+     table keys on). *)
   let by_label : (string, agg) Hashtbl.t = Hashtbl.create 32 in
   Hashtbl.iter
     (fun path (a : agg) ->

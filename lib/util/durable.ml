@@ -1,7 +1,7 @@
 (* Crash-safe file writes.
 
    Every durable artifact in the tree (case archives, minimized
-   companions, checkpoints, bench reports, HTML dashboards) goes through
+   companions, checkpoints, HTML dashboards) goes through
    [write_atomic]: the bytes land in a temporary file in the same
    directory, are flushed and fsync'd, and only then renamed over the
    final path. POSIX rename within a filesystem is atomic, so readers

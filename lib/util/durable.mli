@@ -1,7 +1,7 @@
 (** Crash-safe (atomic, fsync'd) file writes.
 
     The durability rule for the whole tree: any file another run may
-    later read — case archives, checkpoints, bench reports, dashboards —
+    later read — case archives, checkpoints, dashboards —
     is produced by {!write_atomic}, never by writing the final path in
     place. A crash at any instant leaves either the previous complete
     file or the new complete file on disk. *)

@@ -55,10 +55,12 @@ let archive_bytes dir =
     Sys.readdir dir |> Array.to_list |> List.sort String.compare
     |> List.map (fun name -> (name, read_file (Filename.concat dir name)))
 
-(* The one mini-campaign builder the forensics, checkpoint, harness and
-   fleet suites share: a fixed-seed recorded + ordered-traced campaign
-   under [root], returning the outcome plus the trace file and archive
-   directory it wrote. *)
+(* The one mini-campaign fixture the forensics, checkpoint, harness,
+   fleet and observer suites share: a fixed-seed recorded +
+   ordered-traced campaign under [root], returning the outcome plus the
+   trace file and archive directory it wrote. The trace is written
+   unbuffered, so a concurrent follower sees it grow write by write,
+   torn lines included, instead of in 64 KiB flushes. *)
 let run_traced_campaign ?(budget = 20) ?(jobs = 1) ?(seed = 20250704)
     ?(approach = Harness.Approach.Llm4fp) ?(grow_seeds = []) ~root () =
   Util.Durable.mkdir_p root;
@@ -66,6 +68,7 @@ let run_traced_campaign ?(budget = 20) ?(jobs = 1) ?(seed = 20250704)
   let trace = Filename.concat root "trace.jsonl" in
   let recorder = Difftest.Recorder.create ~dir:arch in
   let oc = open_out_bin trace in
+  Out_channel.set_buffered oc false;
   let outcome =
     Fun.protect
       ~finally:(fun () -> close_out oc)

@@ -9,7 +9,8 @@
    - the golden flight-deck frame: a fixed-seed campaign's trace
      replays ([watch --replay]) to byte-identical output, pinned by
      test/golden/watch_frame.txt;
-   - the trace query and flamegraph export round-trips. *)
+   - the trace query and flamegraph export round-trips, and the
+     [tables --csv --out] directory handling. *)
 
 open Helpers
 
@@ -205,6 +206,41 @@ let test_profile_flame_export () =
   end
 
 (* ------------------------------------------------------------------ *)
+(* tables --csv --out: the directory is made before the campaigns run *)
+
+let test_tables_csv_out () =
+  with_tmpdir @@ fun dir ->
+  Unix.mkdir dir 0o755;
+  let nested = Filename.concat (Filename.concat dir "a") "b" in
+  let code, out, err =
+    run (Printf.sprintf "tables -b 4 -t table1 --csv --out %s"
+           (Filename.quote nested))
+  in
+  if code <> 0 then Alcotest.fail ("tables --csv failed: " ^ err);
+  check_bool "prints the requested table" true (contains out "Table 1");
+  check_bool "nested --out written" true
+    (contains (read_file (Filename.concat nested "table2.csv")) "Approach");
+  (* below a regular file, and a regular file itself: a one-line
+     diagnostic and exit 1 before any campaign runs (the trace sink,
+     opened when the campaigns start, is never created) *)
+  let file = Filename.concat dir "file" in
+  Out_channel.with_open_bin file (fun oc -> output_string oc "x");
+  List.iter
+    (fun bad ->
+      let trace = Filename.concat dir "trace.jsonl" in
+      let code, out, err =
+        run (Printf.sprintf "tables -b 4 --csv --out %s --trace %s"
+               (Filename.quote bad) (Filename.quote trace))
+      in
+      check_int (bad ^ ": exit 1") 1 code;
+      check_string (bad ^ ": no tables printed") "" out;
+      check_bool (bad ^ ": one-line diagnostic") true
+        (contains err "cannot create output directory"
+        && List.length (String.split_on_char '\n' (String.trim err)) = 1);
+      check_bool (bad ^ ": no campaign ran") false (Sys.file_exists trace))
+    [ Filename.concat file "sub"; file ]
+
+(* ------------------------------------------------------------------ *)
 (* Fleet: sharded campaigns, supervision, merge *)
 
 (* Malformed --shard specs are usage errors: exit 2 with a one-line
@@ -357,6 +393,8 @@ let () =
         [
           Alcotest.test_case "flame export" `Slow test_profile_flame_export;
         ] );
+      ( "tables",
+        [ Alcotest.test_case "csv --out" `Slow test_tables_csv_out ] );
       ( "fleet",
         [
           Alcotest.test_case "shard diagnostics" `Quick test_shard_diagnostics;

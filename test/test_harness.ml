@@ -77,12 +77,13 @@ let test_time_model_monotonic () =
 let suite = lazy (Harness.Experiments.run_suite ~budget:30 ~seed:90125 ())
 
 let test_tables_render () =
-  let tables = Harness.Experiments.all_tables ~max_pairs:500 (Lazy.force suite) in
-  check_int "ten sections" 10 (List.length tables);
+  let sections = Harness.Experiments.sections ~max_pairs:500 (Lazy.force suite) in
+  check_int "ten sections" 10 (List.length sections);
   List.iter
-    (fun (name, text) ->
-      check_bool (name ^ " non-empty") true (String.length text > 40))
-    tables
+    (fun (s : Harness.Experiments.section) ->
+      check_bool (s.Harness.Experiments.name ^ " non-empty") true
+        (String.length s.Harness.Experiments.text > 40))
+    sections
 
 let test_table1_is_configuration () =
   let t = Harness.Experiments.table1 () in

@@ -284,19 +284,79 @@ let test_campaign_trace_shape () =
         && Obs.Json.member "time" json = None))
     parsed
 
+(* Observers are inert. A bare campaign and the same campaign with a
+   trace sink, a flight recorder and a follower domain tailing the live
+   trace reach the same outcome; the watched run's trace and archive
+   bytes equal an unwatched traced run's; and the follower's streamed
+   batches equal a one-shot read of the finished trace. The helper
+   writes its trace unbuffered, so the follower polls a file that grows
+   mid-line rather than one that appears whole at close. *)
 let test_campaign_untraced_still_works () =
-  (* no sink: instrumentation must be inert, outcome unchanged *)
-  let traced =
-    let _ = trace_lines ~seed:777 ~budget:6 in
-    Harness.Campaign.run ~budget:6 ~seed:777 Harness.Approach.Llm4fp
+  let budget = 12 and seed = 777 in
+  let bare = Harness.Campaign.run ~budget ~seed Harness.Approach.Llm4fp in
+  let observe ~watch =
+    with_tmpdir ~prefix:"llm4fp-inert" @@ fun root ->
+    let trace = Filename.concat root "trace.jsonl" in
+    (* The follower drains until it has seen the whole finished file:
+       [stop] is raised only after the sink's channel is closed, and the
+       loop polls once more after observing it. *)
+    let stop = Atomic.make false in
+    let watcher =
+      if not watch then None
+      else
+        Some
+          (Domain.spawn (fun () ->
+               let follower = Obs.Follow.create ~path:trace in
+               let rec loop acc =
+                 let final = Atomic.get stop in
+                 let acc =
+                   match Obs.Follow.poll follower with
+                   | Ok b -> List.rev_append b.Obs.Follow.events acc
+                   | Error msg -> failwith ("watcher poll failed: " ^ msg)
+                 in
+                 if final then List.rev acc
+                 else begin
+                   Unix.sleepf 0.001;
+                   loop acc
+                 end
+               in
+               loop []))
+    in
+    let outcome, _, arch =
+      Fun.protect
+        ~finally:(fun () -> Atomic.set stop true)
+        (fun () -> run_traced_campaign ~budget ~seed ~root ())
+    in
+    let streamed = Option.map Domain.join watcher in
+    (* Bytes before [read_all]: the unwatched reference must come from a
+       file no follower code has opened. *)
+    let bytes = read_file trace in
+    let archive = archive_bytes arch in
+    let one_shot =
+      match Obs.Follow.read_all ~path:trace with
+      | Ok evs -> evs
+      | Error msg -> Alcotest.fail msg
+    in
+    (outcome, bytes, archive, streamed, one_shot)
   in
-  let untraced = Harness.Campaign.run ~budget:6 ~seed:777 Harness.Approach.Llm4fp in
-  check_bool "same programs with and without tracing" true
-    (List.for_all2 Lang.Ast.equal traced.Harness.Campaign.programs
-       untraced.Harness.Campaign.programs);
-  check_bool "same simulated time" true
-    (traced.Harness.Campaign.sim_seconds
-    = untraced.Harness.Campaign.sim_seconds)
+  let unwatched, ref_trace, ref_archive, _, _ = observe ~watch:false in
+  let watched, trace, archive, streamed, one_shot = observe ~watch:true in
+  check_bool "trace non-empty" true (String.length ref_trace > 0);
+  check_bool "archive non-empty" true (ref_archive <> []);
+  List.iter
+    (fun (label, (o : Harness.Campaign.outcome)) ->
+      check_bool (label ^ ": same signature as a bare run") true
+        (Harness.Campaign.signature o = Harness.Campaign.signature bare);
+      check_bool (label ^ ": same programs as a bare run") true
+        (List.for_all2 Lang.Ast.equal o.Harness.Campaign.programs
+           bare.Harness.Campaign.programs))
+    [ ("traced", unwatched); ("watched", watched) ];
+  check_bool "watching leaves the trace bytes unchanged" true
+    (trace = ref_trace);
+  check_bool "watching leaves the archive bytes unchanged" true
+    (archive = ref_archive);
+  check_bool "streamed events equal a one-shot read" true
+    (streamed = Some one_shot)
 
 let test_campaign_metrics_populated () =
   Obs.Metrics.reset ();
