@@ -48,33 +48,6 @@ let jobs_arg =
                  sequential). Results are identical at any job count; \
                  only wall-clock changes.")
 
-let engine_arg =
-  let engine_conv =
-    Arg.conv
-      ( (fun s ->
-          match Compiler.Driver.engine_of_string s with
-          | Some e -> Ok e
-          | None ->
-            Error (`Msg (Printf.sprintf "unknown engine %S (tree | vm)" s))),
-        fun fmt e ->
-          Format.pp_print_string fmt (Compiler.Driver.engine_name e) )
-  in
-  Arg.(value & opt (some engine_conv) None
-       & info [ "engine" ] ~docv:"ENGINE"
-           ~doc:"Execution engine: $(b,vm) (the flattened run-many VM, \
-                 the default) or $(b,tree) (the reference tree-walking \
-                 interpreter). Results are bit-identical on either; the \
-                 toggle exists for A/B measurement. Also read from \
-                 \\$LLM4FP_ENGINE; the flag wins.")
-
-(* Env first (like Exec.Faults.of_env), then the flag overrides. *)
-let apply_engine choice =
-  (try Compiler.Driver.set_engine_of_env ()
-   with Invalid_argument msg ->
-     prerr_endline msg;
-     exit 1);
-  Option.iter Compiler.Driver.set_engine choice
-
 (* Bracket [f] with a JSONL trace sink on [path], when given. *)
 let with_trace path f =
   match path with
@@ -203,15 +176,15 @@ let cmd_matrix =
              ~doc:"C source of a compute function (default: a fresh \
                    LLM4FP-style program).")
   in
-  let run seed file engine =
-    apply_engine engine;
+  let run seed file =
     let source =
       match file with
-      | Some path ->
-        let ic = open_in path in
-        Fun.protect
-          ~finally:(fun () -> close_in_noerr ic)
-          (fun () -> really_input_string ic (in_channel_length ic))
+      | Some path -> (
+        (* Cmdliner's [file] accepts a directory; reading it fails here. *)
+        try In_channel.with_open_bin path In_channel.input_all
+        with Sys_error msg ->
+          prerr_endline ("cannot read source file " ^ path ^ ": " ^ msg);
+          exit 1)
       | None ->
         let client = Llm.Client.create ~seed () in
         (Llm.Client.generate client (Llm.Prompt.Grammar { precision = Lang.Ast.F64 }))
@@ -252,7 +225,7 @@ let cmd_matrix =
         (List.length result.Difftest.Run.cross)
   in
   Cmd.v (Cmd.info "matrix" ~doc:"Run one program under every configuration")
-    Term.(const run $ seed_arg $ file $ engine_arg)
+    Term.(const run $ seed_arg $ file)
 
 let cmd_campaign =
   let approach =
@@ -358,9 +331,7 @@ let cmd_campaign =
                    count never does.")
   in
   let run seed budget approach bandit grow_from fp32 jobs trace metrics record
-      html checkpoint_dir checkpoint_every resume faults engine shard out chunk
-      =
-    apply_engine engine;
+      html checkpoint_dir checkpoint_every resume faults shard out chunk =
     let approach =
       match (approach, bandit) with
       | Some a, false -> a
@@ -438,7 +409,7 @@ let cmd_campaign =
             exit 1
         end);
         let root = Option.get out in
-        Util.Durable.mkdir_p root;
+        make_out_dir root;
         let precision = if fp32 then Lang.Ast.F32 else Lang.Ast.F64 in
         let on_chunk (o : Harness.Fleet.chunk_outcome)
             (how : Harness.Fleet.chunk_run) =
@@ -646,8 +617,8 @@ let cmd_campaign =
   Cmd.v (Cmd.info "campaign" ~doc:"Run one approach's full campaign")
     Term.(const run $ seed_arg $ budget_arg $ approach $ bandit $ grow_from
           $ fp32 $ jobs_arg $ trace_arg $ metrics_arg $ record $ html
-          $ checkpoint_dir $ checkpoint_every $ resume $ faults $ engine_arg
-          $ shard $ out $ chunk)
+          $ checkpoint_dir $ checkpoint_every $ resume $ faults $ shard $ out
+          $ chunk)
 
 let cmd_fleet =
   let approach =
@@ -704,7 +675,7 @@ let cmd_fleet =
              ~doc:"Supervisor polling interval (default 0.2).")
   in
   let run seed budget approach fp32 jobs shards out chunk checkpoint_every
-      faults max_restarts interval engine =
+      faults max_restarts interval =
     if shards < 1 then begin
       prerr_endline "llm4fp fleet: -n must be at least 1";
       exit 2
@@ -732,7 +703,7 @@ let cmd_fleet =
         exit 1
     end);
     let root = out in
-    Util.Durable.mkdir_p root;
+    make_out_dir root;
     let plan = Harness.Shard.plan ~chunk ~budget ~seed () in
     let slices_of i =
       Harness.Shard.assigned { Harness.Shard.index = i; count = shards } plan
@@ -747,9 +718,6 @@ let cmd_fleet =
           "--checkpoint-every"; string_of_int checkpoint_every;
           "-j"; string_of_int jobs ]
         @ (if fp32 then [ "--fp32" ] else [])
-        @ (match engine with
-          | Some e -> [ "--engine"; Compiler.Driver.engine_name e ]
-          | None -> [])
         @ (match faults with
           | Some f when with_faults -> [ "--faults"; f ]
           | _ -> [])
@@ -903,7 +871,7 @@ let cmd_fleet =
              any shard count.")
     Term.(const run $ seed_arg $ budget_arg $ approach $ fp32 $ jobs_arg
           $ shards $ out $ chunk $ checkpoint_every $ faults
-          $ max_restarts $ interval $ engine_arg)
+          $ max_restarts $ interval)
 
 let cmd_merge =
   let root =
@@ -940,6 +908,7 @@ let cmd_merge =
       Printf.eprintf "llm4fp merge: %s\n" msg;
       exit 2
     | Ok m ->
+      Option.iter make_out_dir out;
       let stats = m.Harness.Fleet.merged_stats in
       let coverage = m.Harness.Fleet.merged_coverage in
       Printf.printf "merged %d chunk(s) under %s\n"
@@ -1044,8 +1013,7 @@ let cmd_tables =
              ~doc:"Directory for the CSV files (one <section>.csv per \
                    table).")
   in
-  let run seed budget only max_pairs jobs trace metrics csv out engine =
-    apply_engine engine;
+  let run seed budget only max_pairs jobs trace metrics csv out =
     if csv && out = None then begin
       prerr_endline "--csv needs --out DIR";
       exit 1
@@ -1095,7 +1063,7 @@ let cmd_tables =
     (Cmd.info "tables"
        ~doc:"Run all four campaigns and print every paper table and figure")
     Term.(const run $ seed_arg $ budget_arg $ only $ max_pairs $ jobs_arg
-          $ trace_arg $ metrics_arg $ csv $ out $ engine_arg)
+          $ trace_arg $ metrics_arg $ csv $ out)
 
 let cmd_corpus =
   let kernel_name =
@@ -1162,8 +1130,7 @@ let cmd_profile =
              ~doc:"Also export the span tree as Chrome trace-event JSON \
                    to $(docv) (loadable in chrome://tracing or Perfetto).")
   in
-  let run seed budget approach jobs trace metrics flame engine =
-    apply_engine engine;
+  let run seed budget approach jobs trace metrics flame =
     Obs.Span.set_enabled true;
     let o =
       with_trace trace (fun () ->
@@ -1194,7 +1161,7 @@ let cmd_profile =
              per-stage hot-path profile (flat and as a call tree), \
              optionally exporting a flamegraph ($(b,--flame))")
     Term.(const run $ seed_arg $ budget $ approach $ jobs_arg $ trace_arg
-          $ metrics_arg $ flame $ engine_arg)
+          $ metrics_arg $ flame)
 
 let cmd_explain =
   let case_ref =

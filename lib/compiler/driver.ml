@@ -6,30 +6,6 @@ type binary = {
   work : int;
 }
 
-type engine = Tree | Vm
-
-let engine_name = function Tree -> "tree" | Vm -> "vm"
-
-let engine_of_string = function
-  | "tree" -> Some Tree
-  | "vm" -> Some Vm
-  | _ -> None
-
-let current_engine = Atomic.make Vm
-let engine () = Atomic.get current_engine
-let set_engine e = Atomic.set current_engine e
-
-let set_engine_of_env () =
-  match Sys.getenv_opt "LLM4FP_ENGINE" with
-  | None | Some "" -> ()
-  | Some s -> begin
-    match engine_of_string s with
-    | Some e -> set_engine e
-    | None ->
-      invalid_arg
-        (Printf.sprintf "LLM4FP_ENGINE: unknown engine %S (tree | vm)" s)
-  end
-
 let m_compile_ok = Obs.Metrics.counter "compiler.compile.ok"
 let m_compile_error = Obs.Metrics.counter "compiler.compile.error"
 let m_front_runs = Obs.Metrics.counter "compiler.frontend.runs"
@@ -223,9 +199,7 @@ let compile (config : Config.t) (program : Lang.Ast.program) =
 let execute binary inputs =
   Obs.Span.with_span "compiler.interp" @@ fun () ->
   inject_with_retry Exec.Faults.Execution;
-  match Atomic.get current_engine with
-  | Tree -> Irsim.Interp.run (Config.runtime binary.config) binary.ir inputs
-  | Vm -> Irsim.Vm.run binary.vm inputs
+  Irsim.Vm.run binary.vm inputs
 
 let account binary (out : Irsim.Interp.outcome) =
   Obs.Metrics.incr m_runs;

@@ -38,34 +38,11 @@ type binary = {
   work : int;       (** IR node count, the compile/execute cost proxy *)
 }
 
-(** Which execution engine {!run} dispatches to. [Vm] (the default)
-    runs the flattened program cached on the binary; [Tree] runs the
-    reference tree-walking interpreter. The two are bit-exact — the
-    [vm-equiv] property suite, the difftest suites, and the harness
-    engine-equivalence test all assert it — so the toggle exists for A/B
-    measurement and for re-validating the VM against the reference. *)
-type engine = Tree | Vm
-
-val engine_name : engine -> string
-val engine_of_string : string -> engine option
-
-val engine : unit -> engine
-(** The process-wide engine currently in effect (atomic; shared by every
-    domain). *)
-
-val set_engine : engine -> unit
-
-val set_engine_of_env : unit -> unit
-(** Apply [LLM4FP_ENGINE] ("tree" | "vm") if set and non-empty. Raises
-    [Invalid_argument] on an unrecognized value. The CLI invokes this
-    explicitly at startup, like {!Exec.Faults.of_env}. *)
-
 val of_ir :
   config:Config.t -> source:string -> work:int -> Irsim.Ir.t -> binary
 (** Package optimized IR as a binary, flattening it for the VM under
     [config]'s runtime. The one constructor every binary goes through —
-    keeps hand-built binaries (isolation probes) executable on either
-    engine. *)
+    keeps hand-built binaries (isolation probes) executable. *)
 
 type target = [ `Host | `Device ]
 
@@ -104,8 +81,9 @@ val compile : Config.t -> Lang.Ast.program -> (binary, string) result
     successfully are passed to the next stage"). *)
 
 val execute : binary -> Irsim.Inputs.t -> Irsim.Interp.outcome
-(** Raw execution on the current {!engine}: the [compiler.interp] span
-    and the fault-injection site, but no metrics and no trace event.
+(** Raw execution of [binary.vm] on {!Irsim.Vm.run}: the
+    [compiler.interp] span and the fault-injection site, but no metrics
+    and no trace event.
     {!Difftest.Run} uses this to run each deduplicated binary once and
     then {!account} the outcome to every configuration that shares it. *)
 

@@ -51,36 +51,20 @@ let compare_outputs level (left : output) (right : output) =
   }
 
 let test ?configs ?(jobs = 1) program inputs =
-  let configs =
-    match configs with Some cs -> cs | None -> Compiler.Config.all ()
-  in
-  (* One shared front-end cache for the whole configuration matrix: two
-     front-end passes (host C, device CUDA) instead of one per config.
-     The per-config back end + execution fan out across the domain pool;
-     Pool.map keeps configuration order, so outputs and failures are
-     identical at any job count. *)
-  let fronts = Compiler.Driver.fronts program in
   let slot = Obs.Trace.current_slot () in
   (* Pool workers re-establish the campaign's slot context so their
-     Compiled/Executed trace events stay correlated. *)
+     Executed trace events stay correlated. *)
   let in_slot go =
     match slot with Some s -> Obs.Trace.with_slot s go | None -> go ()
   in
-  (* Phase 1 — compile every configuration. Each task stamps its events
-     with the configuration's matrix index as the lane — an ordered sink
-     sorts on (slot, lane, seq), restoring the jobs=1 event order no
-     matter which domain finishes first. At jobs = 1 the pool runs tasks
-     inline, so the per-config compile spans nest under this one in the
-     span tree; at jobs > 1 they record in worker domains and surface as
-     that domain's roots. *)
+  (* Phase 1 — compile every configuration through the shared
+     front-end cache, in configuration order at any job count. At
+     jobs = 1 the pool runs tasks inline, so the per-config compile
+     spans nest under this one in the span tree; at jobs > 1 they
+     record in worker domains and surface as that domain's roots. *)
   let compiled =
     Obs.Span.with_span "difftest.fanout" @@ fun () ->
-    Exec.Pool.map ~jobs
-      (fun (lane, config) ->
-        in_slot (fun () ->
-            Obs.Trace.with_lane lane (fun () ->
-                Compiler.Driver.compile_with fronts config)))
-      (List.mapi (fun i c -> (i, c)) configs)
+    Compiler.Driver.matrix ?configs ~jobs program
   in
   (* Phase 2 — deduplicate executions. Configurations whose back ends
      produced the same (post-pipeline IR, runtime) pair are literally the
@@ -92,13 +76,13 @@ let test ?configs ?(jobs = 1) program inputs =
   let exec_key (b : Compiler.Driver.binary) =
     (b.Compiler.Driver.ir, Compiler.Config.runtime b.Compiler.Driver.config)
   in
-  let leader_of = Array.make (max 1 (List.length configs)) (-1) in
+  let leader_of = Array.make (max 1 (List.length compiled)) (-1) in
   let leaders_rev = ref [] in
   List.iteri
     (fun i r ->
       match r with
-      | Error _ -> ()
-      | Ok binary -> begin
+      | Either.Right _ -> ()
+      | Either.Left (_, binary) -> begin
         let key = exec_key binary in
         match
           List.find_opt
@@ -140,10 +124,10 @@ let test ?configs ?(jobs = 1) program inputs =
   let outputs, failures =
     let outs = ref [] and fails = ref [] in
     List.iteri
-      (fun i (config, r) ->
+      (fun i r ->
         match r with
-        | Error msg -> fails := (config, msg) :: !fails
-        | Ok binary -> begin
+        | Either.Right (config, msg) -> fails := (config, msg) :: !fails
+        | Either.Left (config, binary) -> begin
           let lane = leader_of.(i) in
           match Hashtbl.find outcome_by_lane lane with
           | Error msg ->
@@ -166,7 +150,7 @@ let test ?configs ?(jobs = 1) program inputs =
               }
               :: !outs
         end)
-      (List.combine configs compiled);
+      compiled;
     (List.rev !outs, List.rev !fails)
   in
   (* One O(n) pass instead of an O(configs) scan per lookup: the

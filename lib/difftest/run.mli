@@ -56,9 +56,9 @@ val test :
     modified matrices — campaigns build the list once and thread it
     through every slot.
 
-    The front end (emit + parse + validate + lower) runs once per
-    {e target} via {!Compiler.Driver.fronts} — two passes per program
-    instead of one per configuration — and [jobs > 1] fans the
+    Compilation is {!Compiler.Driver.matrix}: the front end (emit +
+    parse + validate + lower) runs once per {e target} — two passes per
+    program instead of one per configuration — and [jobs > 1] fans the
     per-configuration back ends and the deduplicated executions across
     the {!Exec.Pool}.
 
@@ -70,8 +70,9 @@ val test :
     on the standard matrix the O1/O2/O3 levels of each personality
     collapse, roughly halving executions.
 
-    The [result] is identical at any job count and on either
-    {!Compiler.Driver.engine}; only wall-clock changes. Trace events
+    The [result] is identical at any job count; only wall-clock
+    changes. Every binary runs on {!Irsim.Vm}, and its outputs are
+    bit-exact with the {!Irsim.Interp} reference. Trace events
     carry a deterministic [(slot, lane, seq)] stamp — [lane] is the
     configuration's matrix index — so a sink wrapped in
     {!Obs.Sink.ordered} observes the exact [jobs = 1] event sequence at

@@ -487,9 +487,9 @@ let run ?(budget = 1000) ?(precision = Lang.Ast.F64) ?(jobs = 1) ?recorder
   }
 
 (* The equality key used by determinism drills (the checkpoint, observer
-   and engine-equivalence tests): everything about an outcome that must be
-   invariant under jobs, checkpointing, observation, and execution
-   engine — but not the real-time measurements, which always differ. *)
+   and jobs-invariance tests): everything about an outcome that must be
+   invariant under jobs, checkpointing and observation — but not the
+   real-time measurements, which always differ. *)
 let signature (o : outcome) =
   ( Difftest.Stats.total_inconsistencies o.stats,
     Difftest.Stats.total_comparisons o.stats,

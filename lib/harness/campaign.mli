@@ -115,8 +115,8 @@ val signature : outcome -> int * int * int * int * float
 (** (total inconsistencies, total comparisons, feedback-set size,
     generation failures, simulated seconds): the outcome fields that
     every determinism drill asserts invariant — under job count,
-    checkpoint/resume, attached observers, and execution engine. Shared
-    by the equivalence tests so they all compare the same key. *)
+    checkpoint/resume and attached observers. Shared by the equivalence
+    tests so they all compare the same key. *)
 
 val strategy_mix_probability : float
 (** 0.5 — the paper's fixed probability of choosing Feedback-Based

@@ -20,16 +20,13 @@
     for data-dependent array subscripts (which raise the same
     {!Interp.Trap} as the reference engine).
 
-    Results are bit-exact with {!Interp.run} — same values, same
-    [fp_ops] — which the [vm-equiv] property suite and the harness
-    engine-equivalence test enforce. *)
+    Every compiled binary runs on this engine; {!Interp} stays as the
+    reference it is checked against. Results are bit-exact with
+    {!Interp.run} — same values, same [fp_ops] — which the [vm-equiv]
+    property suite and the harness campaign check enforce. *)
 
 type program
 (** A flattened, runtime-bound program, ready to execute many times. *)
-
-type state
-(** Reusable register storage for a program. A state is valid only for
-    the program it was created from. *)
 
 val flatten : Interp.runtime -> Ir.t -> program
 (** Compile the IR under the given runtime. Validates every slot index
@@ -44,19 +41,7 @@ val disasm : program -> string list
 (** One printable line per flat instruction, in code order (for tests
     and diagnostics). *)
 
-val make_state : program -> state
-(** Fresh storage sized for [program]: slots and temps zeroed, constant
-    registers preloaded from the pool. *)
-
-val run_with : state -> program -> Inputs.t -> Interp.outcome
-(** Execute one input vector, reusing [state]'s storage (slot registers
-    are re-zeroed first, so results are independent of prior runs). Raises
+val run : program -> Inputs.t -> Interp.outcome
+(** Execute one input vector in fresh register storage. Raises
     [Invalid_argument] on an input vector that does not match the
     program's bindings, {!Interp.Trap} on an out-of-bounds subscript. *)
-
-val run : program -> Inputs.t -> Interp.outcome
-(** [run p inputs] is [run_with (make_state p) p inputs]. *)
-
-val run_batch : program -> Inputs.t list -> Interp.outcome list
-(** Execute every input vector in one pass over a single reused state —
-    the compile-once/run-many entry point for batched evaluation. *)

@@ -47,8 +47,8 @@ let read_file path =
 (* Campaign fixtures *)
 
 (* A case archive as comparable bytes: (filename, contents) sorted by
-   name. The shape every byte-identity drill (checkpoint resume, engine
-   equivalence, fleet shard invariance) compares on. *)
+   name. The shape every byte-identity drill (checkpoint resume, jobs
+   invariance, fleet shard invariance) compares on. *)
 let archive_bytes dir =
   if not (Sys.file_exists dir) then []
   else

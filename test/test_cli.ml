@@ -10,7 +10,8 @@
      replays ([watch --replay]) to byte-identical output, pinned by
      test/golden/watch_frame.txt;
    - the trace query and flamegraph export round-trips, and the
-     [tables --csv --out] directory handling. *)
+     [--out] directory handling of tables, campaign --shard, fleet and
+     merge. *)
 
 open Helpers
 
@@ -62,6 +63,17 @@ let test_explain_empty_archive () =
   in
   check_int "exit 2" 2 code;
   check_bool "names the empty archive" true (contains err "empty")
+
+(* Cmdliner's file converter accepts a directory for -f *)
+let test_matrix_file_is_directory () =
+  with_tmpdir @@ fun dir ->
+  Unix.mkdir dir 0o755;
+  let code, out, err = run (Printf.sprintf "matrix -f %s" (Filename.quote dir)) in
+  check_int "exit 1" 1 code;
+  check_string "nothing printed" "" out;
+  check_bool "one-line diagnostic" true
+    (contains err "cannot read source file"
+    && List.length (String.split_on_char '\n' (String.trim err)) = 1)
 
 (* One fixed-seed trace shared by the replay/query/export tests. *)
 let with_campaign_trace f =
@@ -206,7 +218,23 @@ let test_profile_flame_export () =
   end
 
 (* ------------------------------------------------------------------ *)
-(* tables --csv --out: the directory is made before the campaigns run *)
+(* --out directories are made before any work runs *)
+
+(* [cmd --out BAD], with BAD below a regular file or a regular file
+   itself: a one-line diagnostic and exit 1 before anything is printed. *)
+let check_bad_out ~dir cmd =
+  let file = Filename.concat dir "file" in
+  Out_channel.with_open_bin file (fun oc -> output_string oc "x");
+  List.iter
+    (fun bad ->
+      let label = Printf.sprintf "%s --out %s" cmd bad in
+      let code, out, err = run (cmd ^ " --out " ^ Filename.quote bad) in
+      check_int (label ^ ": exit 1") 1 code;
+      check_string (label ^ ": nothing printed") "" out;
+      check_bool (label ^ ": one-line diagnostic") true
+        (contains err "cannot create output directory"
+        && List.length (String.split_on_char '\n' (String.trim err)) = 1))
+    [ Filename.concat file "sub"; file ]
 
 let test_tables_csv_out () =
   with_tmpdir @@ fun dir ->
@@ -220,28 +248,28 @@ let test_tables_csv_out () =
   check_bool "prints the requested table" true (contains out "Table 1");
   check_bool "nested --out written" true
     (contains (read_file (Filename.concat nested "table2.csv")) "Approach");
-  (* below a regular file, and a regular file itself: a one-line
-     diagnostic and exit 1 before any campaign runs (the trace sink,
-     opened when the campaigns start, is never created) *)
-  let file = Filename.concat dir "file" in
-  Out_channel.with_open_bin file (fun oc -> output_string oc "x");
-  List.iter
-    (fun bad ->
-      let trace = Filename.concat dir "trace.jsonl" in
-      let code, out, err =
-        run (Printf.sprintf "tables -b 4 --csv --out %s --trace %s"
-               (Filename.quote bad) (Filename.quote trace))
-      in
-      check_int (bad ^ ": exit 1") 1 code;
-      check_string (bad ^ ": no tables printed") "" out;
-      check_bool (bad ^ ": one-line diagnostic") true
-        (contains err "cannot create output directory"
-        && List.length (String.split_on_char '\n' (String.trim err)) = 1);
-      check_bool (bad ^ ": no campaign ran") false (Sys.file_exists trace))
-    [ Filename.concat file "sub"; file ]
+  (* no campaign runs: the trace sink, opened when the campaigns start,
+     is never created *)
+  let trace = Filename.concat dir "trace.jsonl" in
+  check_bad_out ~dir
+    (Printf.sprintf "tables -b 4 --csv --trace %s" (Filename.quote trace));
+  check_bool "no campaign ran" false (Sys.file_exists trace)
 
 (* ------------------------------------------------------------------ *)
 (* Fleet: sharded campaigns, supervision, merge *)
+
+let test_bad_out_paths () =
+  with_tmpdir @@ fun dir ->
+  Unix.mkdir dir 0o755;
+  let root = Filename.concat dir "root" in
+  let code, _, err =
+    run (Printf.sprintf "campaign llm4fp -b 4 --chunk 2 --shard 0/1 --out %s"
+           (Filename.quote root))
+  in
+  if code <> 0 then Alcotest.fail ("shard run failed: " ^ err);
+  List.iter (check_bad_out ~dir)
+    [ "campaign llm4fp -b 4 --shard 0/1"; "fleet llm4fp -n 1 -b 4";
+      "merge " ^ Filename.quote root ]
 
 (* Malformed --shard specs are usage errors: exit 2 with a one-line
    diagnostic, before any work happens. *)
@@ -376,6 +404,8 @@ let () =
             test_explain_missing_archive;
           Alcotest.test_case "explain: empty archive" `Quick
             test_explain_empty_archive;
+          Alcotest.test_case "matrix: -f directory" `Quick
+            test_matrix_file_is_directory;
         ] );
       ( "watch",
         [
@@ -398,6 +428,7 @@ let () =
       ( "fleet",
         [
           Alcotest.test_case "shard diagnostics" `Quick test_shard_diagnostics;
+          Alcotest.test_case "bad --out paths" `Quick test_bad_out_paths;
           Alcotest.test_case "crash and resume" `Slow
             test_fleet_crash_and_resume;
           Alcotest.test_case "merge: empty root" `Quick test_merge_empty_root;

@@ -170,7 +170,8 @@ let test_stats_class_filter_by_level () =
   check_int "level breakdown sums" total by_level
 
 (* Cross-check: Run.test's outputs must equal compiling and running each
-   configuration by hand. *)
+   configuration by hand, and running each binary on the reference tree
+   interpreter. *)
 let test_run_matches_manual_driver () =
   let p = parse chaotic in
   let inputs = Irsim.Inputs.[ Fp 1.25; Fp (-2.5) ] in
@@ -182,6 +183,14 @@ let test_run_matches_manual_driver () =
       | Ok bin ->
         Alcotest.(check string) "hex agrees with manual compile+run"
           (Compiler.Driver.run_hex bin inputs)
+          o.Difftest.Run.hex;
+        let tree =
+          Irsim.Interp.run
+            (Compiler.Config.runtime bin.Compiler.Driver.config)
+            bin.Compiler.Driver.ir inputs
+        in
+        Alcotest.(check string) "hex agrees with the tree interpreter"
+          (Fp.Bits.hex_of_double tree.Irsim.Interp.result)
           o.Difftest.Run.hex)
     result.Difftest.Run.outputs
 
@@ -220,24 +229,6 @@ let test_exec_dedup_metrics () =
   check_int "every output either hit or missed" 18 (dh + dm);
   check_bool "some configurations share an execution" true (dh > 0);
   check_bool "at least one distinct execution" true (dm > 0)
-
-(* The VM engine must be invisible in the results: same hex outputs,
-   same comparisons, as the tree-walking interpreter. *)
-let test_engines_agree () =
-  let p = parse chaotic in
-  let inputs = Irsim.Inputs.[ Fp 1.25; Fp (-2.5) ] in
-  let saved = Compiler.Driver.engine () in
-  let under e =
-    Compiler.Driver.set_engine e;
-    let r = Difftest.Run.test p inputs in
-    List.map (fun (o : Difftest.Run.output) -> o.Difftest.Run.hex)
-      r.Difftest.Run.outputs
-  in
-  Fun.protect
-    ~finally:(fun () -> Compiler.Driver.set_engine saved)
-    (fun () ->
-      check_bool "tree and vm produce identical hex outputs" true
-        (under Compiler.Driver.Tree = under Compiler.Driver.Vm))
 
 let test_pair_index () =
   check_int "gcc-clang first" 0
@@ -303,7 +294,6 @@ let () =
           Alcotest.test_case "idempotent" `Quick test_run_idempotent;
           Alcotest.test_case "custom config list" `Quick test_custom_config_list;
           Alcotest.test_case "exec dedup metrics" `Quick test_exec_dedup_metrics;
-          Alcotest.test_case "engines agree" `Quick test_engines_agree;
           Alcotest.test_case "coverage keys" `Quick test_coverage_keys;
         ] );
       ( "stats",

@@ -178,34 +178,37 @@ let test_fp32_varity_campaign () =
        o.Harness.Campaign.programs)
 
 (* ------------------------------------------------------------------ *)
-(* Execution engine equivalence: the tentpole acceptance drill. A
-   fixed-seed campaign must be indistinguishable — outcome signature,
-   ordered trace bytes, recorded case archives — across the tree
-   interpreter and the register VM, sequential and parallel. *)
+(* Execution engine equivalence: every case a fixed-seed campaign
+   generates, under every configuration, runs bit-identically on the
+   register VM and on the reference tree interpreter. *)
 
-let test_engine_equivalence () =
-  let observe engine jobs =
-    with_tmpdir ~prefix:"llm4fp-engine" @@ fun root ->
-    let saved = Compiler.Driver.engine () in
-    Compiler.Driver.set_engine engine;
-    let outcome, trace, arch =
-      Fun.protect
-        ~finally:(fun () -> Compiler.Driver.set_engine saved)
-        (fun () -> run_traced_campaign ~budget:20 ~jobs ~seed:31337 ~root ())
-    in
-    (Harness.Campaign.signature outcome, read_file trace, archive_bytes arch)
+let test_vm_matches_tree_over_campaign () =
+  let outcome =
+    Harness.Campaign.run ~budget:20 ~seed:31337 Harness.Approach.Llm4fp
   in
-  let ref_sig, ref_trace, ref_archive = observe Compiler.Driver.Tree 1 in
-  check_bool "reference trace non-empty" true (String.length ref_trace > 0);
+  let checked = ref 0 in
   List.iter
-    (fun (engine, jobs, label) ->
-      let s, t, a = observe engine jobs in
-      check_bool (label ^ ": outcome signature identical") true (s = ref_sig);
-      check_bool (label ^ ": trace bytes identical") true (t = ref_trace);
-      check_bool (label ^ ": case archive identical") true (a = ref_archive))
-    [ (Compiler.Driver.Tree, 4, "tree/jobs=4");
-      (Compiler.Driver.Vm, 1, "vm/jobs=1");
-      (Compiler.Driver.Vm, 4, "vm/jobs=4") ]
+    (fun (program, inputs) ->
+      List.iter
+        (function
+          | Either.Right _ -> ()
+          | Either.Left (config, binary) ->
+            let label = Compiler.Config.name config in
+            let tree =
+              Irsim.Interp.run
+                (Compiler.Config.runtime binary.Compiler.Driver.config)
+                binary.Compiler.Driver.ir inputs
+            in
+            let vm = Irsim.Vm.run binary.Compiler.Driver.vm inputs in
+            check_bool (label ^ ": result bits") true
+              (Int64.bits_of_float tree.Irsim.Interp.result
+              = Int64.bits_of_float vm.Irsim.Interp.result);
+            check_int (label ^ ": fp_ops") tree.Irsim.Interp.fp_ops
+              vm.Irsim.Interp.fp_ops;
+            incr checked)
+        (Compiler.Driver.matrix program))
+    outcome.Harness.Campaign.cases;
+  check_bool "campaign produced binaries to check" true (!checked > 0)
 
 (* ------------------------------------------------------------------ *)
 (* Ablation *)
@@ -451,8 +454,8 @@ let () =
             test_fleet_shard_invariance;
           Alcotest.test_case "shard partition laws" `Quick
             test_shard_partition;
-          Alcotest.test_case "tree/vm x jobs indistinguishable" `Slow
-            test_engine_equivalence;
+          Alcotest.test_case "vm matches tree over a campaign" `Slow
+            test_vm_matches_tree_over_campaign;
         ] );
       ( "precision",
         [
