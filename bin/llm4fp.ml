@@ -297,8 +297,8 @@ let cmd_campaign =
     Arg.(value & opt (some string) None
          & info [ "faults" ] ~docv:"PLAN"
              ~doc:"Deterministic fault-injection plan for recovery \
-                   testing, e.g. $(b,llm\\@3:fail,checkpoint\\@2:crash). \
-                   Each rule is STAGE\\@HIT:ACTION with STAGE one of llm, \
+                   testing, e.g. $(b,llm@3:fail,checkpoint@2:crash). \
+                   Each rule is STAGE@HIT:ACTION with STAGE one of llm, \
                    frontend, backend, exec, archive, checkpoint and \
                    ACTION one of crash, fail (transient, retried), \
                    delay=SECONDS. Also read from \\$LLM4FP_FAULTS.")
@@ -659,7 +659,7 @@ let cmd_fleet =
     Arg.(value & opt (some string) None
          & info [ "faults" ] ~docv:"PLAN"
              ~doc:"Fault-injection plan passed to each child's $(i,first) \
-                   spawn (e.g. $(b,checkpoint\\@1:crash) for a \
+                   spawn (e.g. $(b,checkpoint@1:crash) for a \
                    crash-and-resume drill). Respawned children run \
                    without it, so an injected crash is hit exactly \
                    once per shard.")
@@ -1000,7 +1000,7 @@ let cmd_tables =
   in
   let max_pairs =
     Arg.(value & opt int 50_000 & info [ "max-pairs" ] ~docv:"N"
-           ~doc:"CodeBLEU pair-sample bound per approach.")
+           ~doc:"CodeBLEU pair-sample bound per approach (at least 1).")
   in
   let csv =
     Arg.(value & flag
@@ -1014,6 +1014,10 @@ let cmd_tables =
                    table).")
   in
   let run seed budget only max_pairs jobs trace metrics csv out =
+    if max_pairs < 1 then begin
+      prerr_endline "--max-pairs must be at least 1";
+      exit 1
+    end;
     if csv && out = None then begin
       prerr_endline "--csv needs --out DIR";
       exit 1

@@ -39,27 +39,3 @@ let edges p =
   in
   walk p.body;
   List.rev !out
-
-let match_score ~candidate ~reference =
-  let cand = edges candidate and ref_ = edges reference in
-  match cand with
-  | [] -> 1.0
-  | _ ->
-    let table = Hashtbl.create 64 in
-    List.iter
-      (fun e ->
-        let k = (e.def, e.use) in
-        Hashtbl.replace table k (1 + Option.value (Hashtbl.find_opt table k) ~default:0))
-      ref_;
-    let matched =
-      List.fold_left
-        (fun acc e ->
-          let k = (e.def, e.use) in
-          match Hashtbl.find_opt table k with
-          | Some n when n > 0 ->
-            Hashtbl.replace table k (n - 1);
-            acc + 1
-          | _ -> acc)
-        0 cand
-    in
-    float_of_int matched /. float_of_int (List.length cand)

@@ -14,8 +14,3 @@ val edges : Lang.Ast.program -> edge list
 (** All def-use edges in body order (duplicates preserved — the graph is a
     multiset, matching CodeBLEU's recall-style counting). The program is
     alpha-normalized internally. *)
-
-val match_score : candidate:Lang.Ast.program -> reference:Lang.Ast.program -> float
-(** Fraction of the candidate's edges that also appear in the reference
-    (multiset semantics). 1.0 when the candidate has no edges, matching
-    CodeBLEU's convention for empty graphs. *)

@@ -1,8 +1,6 @@
 open Lang
 
-module Smap = Map.Make (String)
-
-type summary = { trees : float Smap.t; total : int }
+type summary = Multiset.t
 
 (* Canonical rendering of each subtree, identifiers and literals
    abstracted. Returns the rendering of [e] and appends every subtree's
@@ -76,25 +74,7 @@ and body_subtrees acc body =
 
 let summarize (p : Ast.program) =
   let _, subtrees = body_subtrees [] p.body in
-  let trees =
-    List.fold_left
-      (fun map t ->
-        Smap.update t (function None -> Some 1.0 | Some c -> Some (c +. 1.0)) map)
-      Smap.empty subtrees
-  in
-  { trees; total = List.length subtrees }
-
-let subtree_count s = s.total
+  Multiset.of_array (Array.of_list subtrees)
 
 let score ~candidate ~reference =
-  if candidate.total = 0 then 1.0
-  else
-    let matched =
-      Smap.fold
-        (fun tree c acc ->
-          match Smap.find_opt tree reference.trees with
-          | None -> acc
-          | Some r -> acc +. Float.min c r)
-        candidate.trees 0.0
-    in
-    matched /. float_of_int candidate.total
+  Multiset.fraction candidate (fst (Multiset.inter candidate reference))

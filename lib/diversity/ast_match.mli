@@ -7,12 +7,10 @@
     a reference is the clipped fraction of candidate subtrees found in
     the reference. *)
 
-type summary
-(** Precomputed subtree multiset. *)
+type summary = Multiset.t
+(** The subtree multiset, keyed by canonical rendering. *)
 
 val summarize : Lang.Ast.program -> summary
 
 val score : candidate:summary -> reference:summary -> float
 (** In [0, 1]; 1.0 when the candidate has no subtrees. *)
-
-val subtree_count : summary -> int

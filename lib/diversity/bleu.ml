@@ -1,70 +1,38 @@
 let max_order = 4
 
-module Smap = Map.Make (String)
-
-type ngram_table = {
+type table = {
   len : int;
-  (* per order (index 0 = unigrams): ngram -> weighted count *)
-  counts : float Smap.t array;
-  totals : float array;
+  (* per order (index 0 = unigrams): the n-grams, each weighted by its
+     heaviest token *)
+  grams : Multiset.t array;
 }
 
-let ngrams_of tokens n =
-  let arr = Array.of_list tokens in
-  let len = Array.length arr in
-  let out = ref [] in
-  for i = 0 to len - n do
-    let gram = String.concat "\x00" (Array.to_list (Array.sub arr i n)) in
-    out := (i, gram) :: !out
+let table ?weight tokens =
+  let toks = Array.of_list tokens in
+  { len = Array.length toks; grams = Multiset.windows ?weight max_order toks }
+
+type overlap = { plain : int array; weighted : int array }
+
+let overlap a b =
+  let plain = Array.make max_order 0 and weighted = Array.make max_order 0 in
+  for k = 0 to max_order - 1 do
+    let p, w = Multiset.inter a.grams.(k) b.grams.(k) in
+    plain.(k) <- p;
+    weighted.(k) <- w
   done;
-  List.rev !out
+  { plain; weighted }
 
-let table_weighted ~weight tokens =
-  let arr = Array.of_list tokens in
-  let counts =
-    Array.init max_order (fun k ->
-        let n = k + 1 in
-        List.fold_left
-          (fun map (i, gram) ->
-            let w =
-              (* weight of an n-gram = max weight of its tokens *)
-              let rec max_w j acc =
-                if j >= i + n then acc
-                else max_w (j + 1) (Float.max acc (weight arr.(j)))
-              in
-              max_w i 1.0
-            in
-            Smap.update gram
-              (function None -> Some w | Some c -> Some (c +. w))
-              map)
-          Smap.empty (ngrams_of tokens n))
-  in
-  let totals =
-    Array.map (fun map -> Smap.fold (fun _ c acc -> acc +. c) map 0.0) counts
-  in
-  { len = Array.length arr; counts; totals }
-
-let table tokens = table_weighted ~weight:(fun _ -> 1.0) tokens
-
-let length t = t.len
-
-let score ~candidate ~reference =
+let directed ?(weighted = false) ~candidate ~reference ov =
   if candidate.len = 0 then if reference.len = 0 then 1.0 else 0.0
   else begin
+    let matched = if weighted then ov.weighted else ov.plain
+    and cardinal = if weighted then Multiset.weighted_cardinal else Multiset.cardinal in
     let log_sum = ref 0.0 in
     for k = 0 to max_order - 1 do
-      let matched =
-        Smap.fold
-          (fun gram c acc ->
-            match Smap.find_opt gram reference.counts.(k) with
-            | None -> acc
-            | Some r -> acc +. Float.min c r)
-          candidate.counts.(k) 0.0
-      in
-      let total = candidate.totals.(k) in
+      let total = cardinal candidate.grams.(k) in
       let precision =
-        if total <= 0.0 then 1.0 (* candidate shorter than the order *)
-        else Float.max (matched /. total) 1e-9
+        if total <= 0 then 1.0 (* candidate shorter than the order *)
+        else Float.max (float_of_int matched.(k) /. float_of_int total) 1e-9
       in
       log_sum := !log_sum +. log precision
     done;
@@ -75,3 +43,6 @@ let score ~candidate ~reference =
     in
     geo *. bp
   end
+
+let score ~candidate ~reference =
+  directed ~candidate ~reference (overlap candidate reference)

@@ -7,18 +7,29 @@
     reference implementation's keyword-weighted unigram idea extended to
     all orders. *)
 
-type ngram_table
-(** Precomputed clipped-count tables for one token sequence (orders
-    1..4), reusable across many pairings. *)
+type table
+(** The n-gram multisets of one token sequence (orders 1..4), each n-gram
+    carrying its count and its weight, reusable across many pairings. *)
 
-val table : string list -> ngram_table
-val table_weighted : weight:(string -> float) -> string list -> ngram_table
+val table : ?weight:(string -> int) -> string list -> table
+(** [weight] (default 1) gives each token's weight; an n-gram weighs as
+    its heaviest token, and at least 1. *)
 
-val score : candidate:ngram_table -> reference:ngram_table -> float
-(** Geometric mean of modified precisions times brevity penalty, in
-    [0, 1]. Empty candidates score 0 against non-empty references and 1
-    against empty ones. Smoothing: zero precisions are floored at
-    [1e-9] before the geometric mean (standard smoothing-epsilon). *)
+type overlap
+(** The clipped matches Σ min(c, r) of two tables, per order, plain and
+    weighted. *)
 
-val length : ngram_table -> int
-(** Token count of the underlying sequence. *)
+val overlap : table -> table -> overlap
+(** Symmetric in its arguments: one overlap serves both directions. *)
+
+val directed :
+  ?weighted:bool -> candidate:table -> reference:table -> overlap -> float
+(** BLEU of [candidate] against [reference] given their overlap:
+    geometric mean of modified precisions times brevity penalty, in
+    [0, 1]. [weighted] (default false) uses the weighted counts. Empty
+    candidates score 0 against non-empty references and 1 against empty
+    ones. Smoothing: zero precisions are floored at [1e-9] before the
+    geometric mean (standard smoothing-epsilon). *)
+
+val score : candidate:table -> reference:table -> float
+(** Plain BLEU of one ordered pair: [directed] on their [overlap]. *)

@@ -1,61 +1,62 @@
 type summary = {
-  plain : Bleu.ngram_table;
-  weighted : Bleu.ngram_table;
+  tokens : Bleu.table;
   ast : Ast_match.summary;
-  edges : (string * string, int) Hashtbl.t;
-  n_edges : int;
+  edges : Multiset.t;  (* def-use edges keyed "def\x00use" *)
 }
 
-let keyword_weight tok = if Cparse.Lex.is_keyword tok then 4.0 else 1.0
+let keyword_weight tok = if Cparse.Lex.is_keyword tok then 4 else 1
 
 let tokens_of (p : Lang.Ast.program) =
   Cparse.Lex.tokens (Lang.Pp.compute_to_string p)
   |> List.map Cparse.Lex.to_string
 
 let summarize p =
-  let tokens = tokens_of p in
-  let edges = Hashtbl.create 32 in
-  let edge_list = Analysis.Dataflow.edges p in
-  List.iter
-    (fun (e : Analysis.Dataflow.edge) ->
-      let key = (e.def, e.use) in
-      Hashtbl.replace edges key
-        (1 + Option.value (Hashtbl.find_opt edges key) ~default:0))
-    edge_list;
+  let edges =
+    Analysis.Dataflow.edges p
+    |> List.map (fun (e : Analysis.Dataflow.edge) -> e.def ^ "\x00" ^ e.use)
+  in
   {
-    plain = Bleu.table tokens;
-    weighted = Bleu.table_weighted ~weight:keyword_weight tokens;
+    tokens = Bleu.table ~weight:keyword_weight (tokens_of p);
     ast = Ast_match.summarize p;
-    edges;
-    n_edges = List.length edge_list;
+    edges = Multiset.of_array (Array.of_list edges);
   }
 
-let dataflow_score ~candidate ~reference =
-  if candidate.n_edges = 0 then 1.0
-  else begin
-    let matched = ref 0 in
-    Hashtbl.iter
-      (fun key c ->
-        match Hashtbl.find_opt reference.edges key with
-        | None -> ()
-        | Some r -> matched := !matched + min c r)
-      candidate.edges;
-    float_of_int !matched /. float_of_int candidate.n_edges
-  end
+(* The clipped matches of two summaries, component by component. Σ min is
+   symmetric, so one overlap scores both directions of a pair. *)
+type overlap = { grams : Bleu.overlap; trees : int; edges : int }
 
-let pair_score ~candidate ~reference =
-  let bleu = Bleu.score ~candidate:candidate.plain ~reference:reference.plain in
-  let wbleu =
-    Bleu.score ~candidate:candidate.weighted ~reference:reference.weighted
+let overlap a b =
+  {
+    grams = Bleu.overlap a.tokens b.tokens;
+    trees = fst (Multiset.inter a.ast b.ast);
+    edges = fst (Multiset.inter a.edges b.edges);
+  }
+
+(* CodeBLEU of one direction of a pair, from the pair's overlap. *)
+let directed ov ~candidate ~reference =
+  let bleu =
+    Bleu.directed ~candidate:candidate.tokens ~reference:reference.tokens
+      ov.grams
   in
-  let ast = Ast_match.score ~candidate:candidate.ast ~reference:reference.ast in
-  let df = dataflow_score ~candidate ~reference in
+  let wbleu =
+    Bleu.directed ~weighted:true ~candidate:candidate.tokens
+      ~reference:reference.tokens ov.grams
+  in
+  let ast = Multiset.fraction candidate.ast ov.trees in
+  let df = Multiset.fraction candidate.edges ov.edges in
   0.25 *. (bleu +. wbleu +. ast +. df)
 
+let pair_score ~candidate ~reference =
+  directed (overlap candidate reference) ~candidate ~reference
+
 let symmetric a b =
-  0.5 *. (pair_score ~candidate:a ~reference:b +. pair_score ~candidate:b ~reference:a)
+  let ov = overlap a b in
+  0.5
+  *. (directed ov ~candidate:a ~reference:b
+     +. directed ov ~candidate:b ~reference:a)
 
 let corpus_mean ?(max_pairs = 200_000) ~seed programs =
+  if max_pairs < 1 then invalid_arg "Codebleu.corpus_mean: max_pairs < 1";
   let summaries = Array.of_list (List.map summarize programs) in
   let n = Array.length summaries in
   if n < 2 then 0.0

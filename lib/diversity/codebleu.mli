@@ -19,14 +19,18 @@ val pair_score : candidate:summary -> reference:summary -> float
 (** CodeBLEU of one ordered pair, in [0, 1]. *)
 
 val symmetric : summary -> summary -> float
-(** Mean of both directions. *)
+(** Mean of both directions, bit-identical to
+    [0.5 *. (pair_score a b +. pair_score b a)] but matching the two
+    summaries only once. *)
 
 val corpus_mean :
   ?max_pairs:int -> seed:int -> Lang.Ast.program list -> float
 (** Average symmetric pairwise score over all unordered pairs; when the
     pair count exceeds [max_pairs] (default 200_000) a deterministic
     uniform sample of that many pairs is used (the sampling seed is
-    [seed]). Returns 0 for fewer than two programs. *)
+    [seed]). Returns 0 for fewer than two programs.
+    @raise Invalid_argument if [max_pairs < 1]. *)
 
-val keyword_weight : string -> float
-(** 4.0 for keywords, 1.0 otherwise (exposed for tests). *)
+val keyword_weight : string -> int
+(** 4 for keywords, 1 otherwise (exposed for tests). Integer weights keep
+    every count an integer, so clipped sums are exact in any order. *)

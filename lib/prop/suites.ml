@@ -301,6 +301,21 @@ let bleu_self =
       let t = Diversity.Bleu.table (tokens p) in
       Float.abs (Diversity.Bleu.score ~candidate:t ~reference:t -. 1.0) < 1e-9)
 
+let codebleu_symmetric =
+  make_suite "codebleu-symmetric"
+    "CodeBLEU's symmetric score is bit-identical in both argument orders \
+     and to the mean of the two directed scores"
+    program_pair
+    (fun (a, b) ->
+      let sa = Diversity.Codebleu.summarize a
+      and sb = Diversity.Codebleu.summarize b in
+      let ab = Diversity.Codebleu.symmetric sa sb in
+      same_bits ab (Diversity.Codebleu.symmetric sb sa)
+      && same_bits ab
+           (0.5
+           *. (Diversity.Codebleu.pair_score ~candidate:sa ~reference:sb
+              +. Diversity.Codebleu.pair_score ~candidate:sb ~reference:sa)))
+
 (* ------------------------------------------------------------------ *)
 (* Execution-engine equivalence *)
 
@@ -480,6 +495,7 @@ let all =
     eft_two_prod;
     bleu_range;
     bleu_self;
+    codebleu_symmetric;
     vm_equiv;
     fleet_merge;
   ]

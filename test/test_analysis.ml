@@ -212,16 +212,12 @@ void compute(double x, double y) {
   check_bool "t reads y" true (has "v0" "p1");
   check_bool "comp reads t" true (has "comp" "v0")
 
-let test_dataflow_match_self () =
-  let p = parse featured in
-  Alcotest.(check (float 1e-9)) "self match" 1.0
-    (Analysis.Dataflow.match_score ~candidate:p ~reference:p)
-
-let test_dataflow_match_rename_invariant () =
+let test_dataflow_rename_invariant () =
   let p = parse featured in
   let renamed = Ast.rename (fun n -> n ^ "_zz") p in
-  Alcotest.(check (float 1e-9)) "rename invariant" 1.0
-    (Analysis.Dataflow.match_score ~candidate:p ~reference:renamed)
+  check_bool "has edges" true (Analysis.Dataflow.edges p <> []);
+  check_bool "renamed program has equal edges" true
+    (Analysis.Dataflow.edges p = Analysis.Dataflow.edges renamed)
 
 (* ------------------------------------------------------------------ *)
 (* Generators always valid *)
@@ -264,8 +260,7 @@ let () =
       ( "dataflow",
         [
           Alcotest.test_case "edges" `Quick test_dataflow_edges;
-          Alcotest.test_case "self match" `Quick test_dataflow_match_self;
-          Alcotest.test_case "rename invariance" `Quick test_dataflow_match_rename_invariant;
+          Alcotest.test_case "rename invariance" `Quick test_dataflow_rename_invariant;
         ] );
       ( "generators",
         [

@@ -75,6 +75,22 @@ let test_matrix_file_is_directory () =
     (contains err "cannot read source file"
     && List.length (String.split_on_char '\n' (String.trim err)) = 1)
 
+let subcommands =
+  [ "generate"; "matrix"; "campaign"; "fleet"; "merge"; "tables"; "corpus";
+    "ablation"; "precision"; "profile"; "explain"; "fuzz"; "dashboard";
+    "watch"; "trace"; "coverage"; "stability" ]
+
+(* Doc strings with bad cmdliner markup still render, but cmdliner
+   reports each error on stderr. *)
+let test_help_plain () =
+  List.iter
+    (fun cmd ->
+      let code, out, err = run (cmd ^ " --help=plain") in
+      check_int (cmd ^ ": exit 0") 0 code;
+      check_bool (cmd ^ ": help printed") true (contains out "NAME");
+      check_string (cmd ^ ": stderr empty") "" err)
+    subcommands
+
 (* One fixed-seed trace shared by the replay/query/export tests. *)
 let with_campaign_trace f =
   with_tmpdir @@ fun dir ->
@@ -255,6 +271,26 @@ let test_tables_csv_out () =
     (Printf.sprintf "tables -b 4 --csv --trace %s" (Filename.quote trace));
   check_bool "no campaign ran" false (Sys.file_exists trace)
 
+(* A pair bound below 1 is refused before any campaign runs (the sampled
+   mean divides by it). *)
+let test_tables_max_pairs () =
+  with_tmpdir @@ fun dir ->
+  Unix.mkdir dir 0o755;
+  let trace = Filename.concat dir "trace.jsonl" in
+  List.iter
+    (fun arg ->
+      let code, out, err =
+        run (Printf.sprintf "tables -b 4 -t table3 %s --trace %s" arg
+               (Filename.quote trace))
+      in
+      check_int (arg ^ ": exit 1") 1 code;
+      check_string (arg ^ ": nothing printed") "" out;
+      check_bool (arg ^ ": one-line diagnostic") true
+        (contains err "--max-pairs"
+        && List.length (String.split_on_char '\n' (String.trim err)) = 1))
+    [ "--max-pairs 0"; "--max-pairs=-5" ];
+  check_bool "no campaign ran" false (Sys.file_exists trace)
+
 (* ------------------------------------------------------------------ *)
 (* Fleet: sharded campaigns, supervision, merge *)
 
@@ -404,6 +440,7 @@ let () =
             test_explain_missing_archive;
           Alcotest.test_case "explain: empty archive" `Quick
             test_explain_empty_archive;
+          Alcotest.test_case "help renders cleanly" `Quick test_help_plain;
           Alcotest.test_case "matrix: -f directory" `Quick
             test_matrix_file_is_directory;
         ] );
@@ -424,7 +461,8 @@ let () =
           Alcotest.test_case "flame export" `Slow test_profile_flame_export;
         ] );
       ( "tables",
-        [ Alcotest.test_case "csv --out" `Slow test_tables_csv_out ] );
+        [ Alcotest.test_case "csv --out" `Slow test_tables_csv_out;
+          Alcotest.test_case "max-pairs below 1" `Quick test_tables_max_pairs ] );
       ( "fleet",
         [
           Alcotest.test_case "shard diagnostics" `Quick test_shard_diagnostics;

@@ -67,8 +67,8 @@ let test_bleu_brevity_penalty () =
 let test_bleu_weighted_keywords () =
   (* matching a keyword counts more under the weighted table *)
   let w = Diversity.Codebleu.keyword_weight in
-  check_float ~eps:1e-9 "keyword weight" 4.0 (w "double");
-  check_float ~eps:1e-9 "plain weight" 1.0 (w "alpha")
+  check_int "keyword weight" 4 (w "double");
+  check_int "plain weight" 1 (w "alpha")
 
 let qcheck_bleu_bounds =
   QCheck.Test.make ~name:"BLEU score in [0,1]" ~count:100
@@ -135,6 +135,75 @@ let test_corpus_mean_sampled_deterministic () =
   let a = Diversity.Codebleu.corpus_mean ~max_pairs:100 ~seed:7 programs in
   let b = Diversity.Codebleu.corpus_mean ~max_pairs:100 ~seed:7 programs in
   check_float ~eps:1e-9 "same sample same mean" a b
+
+(* Table 3's scores, pinned at %.17g: the four approaches' corpora from
+   fixed-seed 20-slot campaigns, every pair scored (exact path) and 60
+   sampled pairs (sampled path, below every corpus's pair count). *)
+let golden_corpus_means =
+  [ ("VARITY", ("0.26665525802344009", "0.25328565173228029"));
+    ("DIRECT-PROMPT", ("0.29152628943689407", "0.29848864268618241"));
+    ("GRAMMAR-GUIDED", ("0.36134620609710422", "0.35930922380143365"));
+    ("LLM4FP", ("0.38128735027280802", "0.3793742967956083")) ]
+
+let test_corpus_mean_golden () =
+  Array.iter
+    (fun approach ->
+      let name = Harness.Approach.name approach in
+      let programs =
+        (Harness.Campaign.run ~budget:20 ~seed:2025 approach).Harness.Campaign.programs
+      in
+      let n = List.length programs in
+      check_bool (name ^ ": 60 pairs sample") true (n * (n - 1) / 2 > 60);
+      let exact, sampled = List.assoc name golden_corpus_means in
+      let mean ?max_pairs () =
+        Printf.sprintf "%.17g"
+          (Diversity.Codebleu.corpus_mean ?max_pairs ~seed:11 programs)
+      in
+      check_string (name ^ ": exact") exact (mean ());
+      check_string (name ^ ": sampled") sampled (mean ~max_pairs:60 ()))
+    Harness.Approach.all
+
+let test_corpus_mean_rejects_max_pairs () =
+  List.iter
+    (fun max_pairs ->
+      match Diversity.Codebleu.corpus_mean ~max_pairs ~seed:1 [ p1; p2 ] with
+      | _ -> Alcotest.failf "max_pairs %d accepted" max_pairs
+      | exception Invalid_argument _ -> ())
+    [ 0; -5 ]
+
+(* Two distinct tokens with equal [Hashtbl.hash]: n-gram keys tie on
+   their hash and must still be told apart. *)
+let colliding_tokens () =
+  let seen = Hashtbl.create 100_000 in
+  let rec search i =
+    let tok = "t" ^ string_of_int i in
+    let h = Hashtbl.hash tok in
+    match Hashtbl.find_opt seen h with
+    | Some other -> (other, tok)
+    | None ->
+      Hashtbl.add seen h tok;
+      search (i + 1)
+  in
+  search 0
+
+let test_hash_collision () =
+  let a, b = colliding_tokens () in
+  check_bool "distinct tokens" true (a <> b);
+  check_int "equal hashes" (Hashtbl.hash a) (Hashtbl.hash b);
+  let score c r =
+    Diversity.Bleu.score ~candidate:(Diversity.Bleu.table c)
+      ~reference:(Diversity.Bleu.table r)
+  in
+  (* BLEU from the unigram and bigram precisions of a two-token
+     candidate; orders 3 and 4 have no n-grams and count as 1 *)
+  let bleu unigram bigram = exp ((log unigram +. log bigram) /. 4.0) in
+  check_float "a matches itself" 1.0 (score [ a ] [ a ]);
+  check_float "a does not match b" (bleu 1e-9 1.0) (score [ a ] [ b ]);
+  check_float "b does not match a" (bleu 1e-9 1.0) (score [ b ] [ a ]);
+  check_float "both unigrams found, the bigram not" (bleu 1.0 1e-9)
+    (score [ a; b ] [ b; a ]);
+  check_float "one of two a's clipped, b unmatched" (bleu 0.5 1e-9)
+    (score [ a; a ] [ a; b ])
 
 let qcheck_codebleu_bounds =
   QCheck.Test.make ~name:"CodeBLEU in [0,1]" ~count:60
@@ -208,6 +277,9 @@ let () =
           Alcotest.test_case "symmetric" `Quick test_codebleu_symmetric;
           Alcotest.test_case "corpus mean" `Quick test_corpus_mean_small;
           Alcotest.test_case "sampled deterministic" `Quick test_corpus_mean_sampled_deterministic;
+          Alcotest.test_case "golden corpus means" `Quick test_corpus_mean_golden;
+          Alcotest.test_case "max_pairs below 1" `Quick test_corpus_mean_rejects_max_pairs;
+          Alcotest.test_case "hash collision" `Quick test_hash_collision;
           QCheck_alcotest.to_alcotest qcheck_codebleu_bounds;
         ] );
       ( "clones",
