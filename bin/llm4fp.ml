@@ -992,11 +992,12 @@ let cmd_merge =
     Term.(const run $ root $ html $ title $ out)
 
 let cmd_tables =
+  let names = Harness.Experiments.section_names in
   let only =
     Arg.(value & opt (some string) None
          & info [ "t"; "table" ] ~docv:"NAME"
-             ~doc:"Print only this section (summary, table1, table2, table3, \
-                   figure3, table4, table5, table6).")
+             ~doc:("Compute and print only this section ("
+                  ^ String.concat ", " names ^ ")."))
   in
   let max_pairs =
     Arg.(value & opt int 50_000 & info [ "max-pairs" ] ~docv:"N"
@@ -1014,6 +1015,13 @@ let cmd_tables =
                    table).")
   in
   let run seed budget only max_pairs jobs trace metrics csv out =
+    (match only with
+    | Some name when not (List.mem name names) ->
+      prerr_endline
+        (Printf.sprintf "unknown section %s (valid: %s)" name
+           (String.concat ", " names));
+      exit 1
+    | _ -> ());
     if max_pairs < 1 then begin
       prerr_endline "--max-pairs must be at least 1";
       exit 1
@@ -1026,27 +1034,18 @@ let cmd_tables =
     let sections =
       with_trace trace (fun () ->
           let suite = Harness.Experiments.run_suite ~budget ~jobs ~seed () in
-          Harness.Experiments.sections ~max_pairs ~jobs suite)
+          match only with
+          | None -> Harness.Experiments.sections ~max_pairs ~jobs suite
+          | Some name ->
+            [ Harness.Experiments.section ~max_pairs ~jobs suite name ])
     in
-    (match only with
-    | None ->
-      List.iter
-        (fun (s : Harness.Experiments.section) ->
+    List.iter
+      (fun (s : Harness.Experiments.section) ->
+        if only = None then
           Printf.printf "== %s ==\n%s\n" s.Harness.Experiments.name
-            s.Harness.Experiments.text)
-        sections
-    | Some name -> begin
-      match
-        List.find_opt
-          (fun (s : Harness.Experiments.section) ->
-            s.Harness.Experiments.name = name)
-          sections
-      with
-      | Some s -> print_string s.Harness.Experiments.text
-      | None ->
-        prerr_endline ("unknown section " ^ name);
-        exit 1
-    end);
+            s.Harness.Experiments.text
+        else print_string s.Harness.Experiments.text)
+      sections;
     (match (csv, out) with
     | true, Some dir ->
       List.iter

@@ -47,8 +47,9 @@ val of_ir :
 type target = [ `Host | `Device ]
 
 type front
-(** A completed front-end pass: the emitted translation unit and its
-    lowered (pre-pipeline) IR. Immutable and shareable. *)
+(** A completed front-end pass: the emitted translation unit, its
+    lowered (pre-pipeline) IR, and a mutex-guarded table of the back
+    ends already run on it. Shareable across pool workers. *)
 
 type fronts
 (** Per-program front-end cache, at most one entry per target. Lazy and
@@ -66,8 +67,13 @@ val front_end : fronts -> target -> (front, string) result
     string carries no configuration name. *)
 
 val back_end : Config.t -> front -> binary
-(** The per-configuration pass pipeline over the shared front-end IR
-    (which is never mutated — every binary gets its own optimized IR). *)
+(** The configuration's pass pipeline and flatten over the shared
+    front-end IR (which is never mutated). Configurations whose
+    effective [fold], [contract], [fastmath], [dce] and runtime agree
+    share one optimized IR and flattened program, computed once per
+    front; each still gets its own [binary] record naming its own
+    configuration, and each passes the [Back_end] fault-injection site
+    before the lookup. *)
 
 val compile_with : fronts -> Config.t -> (binary, string) result
 (** [front_end] + [back_end] with the historic [compile] accounting:

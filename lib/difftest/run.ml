@@ -102,14 +102,16 @@ let test ?configs ?(jobs = 1) program inputs =
      failure, not a crash. *)
   let executed =
     Obs.Span.with_span "difftest.exec" @@ fun () ->
-    Exec.Pool.map ~jobs
-      (fun (_, _, binary) ->
-        in_slot (fun () ->
-            match Compiler.Driver.execute binary inputs with
-            | out -> Ok out
-            | exception Irsim.Interp.Trap t ->
-              Error ("execution trapped: " ^ Irsim.Interp.trap_message t)))
-      leaders
+    Obs.Span.settle
+      (Exec.Pool.map ~jobs
+         (fun (_, _, binary) ->
+           Obs.Span.deferred (fun () ->
+               in_slot (fun () ->
+                   match Compiler.Driver.execute binary inputs with
+                   | out -> Ok out
+                   | exception Irsim.Interp.Trap t ->
+                     Error ("execution trapped: " ^ Irsim.Interp.trap_message t))))
+         leaders)
   in
   let outcome_by_lane = Hashtbl.create 16 in
   List.iter2

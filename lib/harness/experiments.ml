@@ -466,17 +466,31 @@ let seed_stability ?(budget = 200) ~seeds () =
 
 type section = { name : string; text : string; csv : string option }
 
+(* Each section's name and its text and CSV, in paper order. table3 is
+   the only section that takes [max_pairs] and [jobs]. *)
+let section_table =
+  let tabular t = (render_tabular t, Some (csv_tabular t)) in
+  let tab data _ _ suite = tabular (data suite) in
+  [ ("summary", fun _ _ suite -> (summary suite, None));
+    ("table1", fun _ _ _ -> tabular (table1_data ()));
+    ("table2", tab table2_data);
+    ("table3",
+     fun max_pairs jobs suite -> tabular (table3_data ?max_pairs ?jobs suite));
+    ("figure3", tab figure3_data);
+    ("table4", tab table4_data);
+    ("table5", tab table5_data);
+    ("table6", tab table6_data);
+    ("features", tab feature_statistics_data);
+    ("bandit", tab bandit_ablation_data) ]
+
+let section_names = List.map fst section_table
+
+let section ?max_pairs ?jobs suite name =
+  match List.assoc_opt name section_table with
+  | Some compute ->
+    let text, csv = compute max_pairs jobs suite in
+    { name; text; csv }
+  | None -> invalid_arg ("Experiments.section: unknown section " ^ name)
+
 let sections ?max_pairs ?jobs suite =
-  let tab name t =
-    { name; text = render_tabular t; csv = Some (csv_tabular t) }
-  in
-  { name = "summary"; text = summary suite; csv = None }
-  :: [ tab "table1" (table1_data ());
-       tab "table2" (table2_data suite);
-       tab "table3" (table3_data ?max_pairs ?jobs suite);
-       tab "figure3" (figure3_data suite);
-       tab "table4" (table4_data suite);
-       tab "table5" (table5_data suite);
-       tab "table6" (table6_data suite);
-       tab "features" (feature_statistics_data suite);
-       tab "bandit" (bandit_ablation_data suite) ]
+  List.map (section ?max_pairs ?jobs suite) section_names

@@ -73,6 +73,13 @@ type section = {
           requesting both does not run table3's CodeBLEU pass twice. *)
 }
 
+val section_names : string list
+(** Every section's name, in paper order. *)
+
+val section : ?max_pairs:int -> ?jobs:int -> suite -> string -> section
+(** Compute one section by name (only that section's work runs).
+    Raises [Invalid_argument] on a name outside {!section_names}. *)
+
 val sections : ?max_pairs:int -> ?jobs:int -> suite -> section list
 (** Every table and figure, in paper order. *)
 

@@ -48,17 +48,3 @@ val run : runtime -> Ir.t -> Inputs.t -> outcome
 (** Execute. Raises [Invalid_argument] when the input vector does not
     match the program's bindings, {!Trap} on an out-of-bounds
     subscript. *)
-
-(**/**)
-
-val round_f32 : float -> float
-(** Round to the nearest binary32 value (storage/operation precision for
-    [F32] programs). Shared with {!Vm}. *)
-
-val check_bounds : array:int -> index:int -> length:int -> unit
-(** Raise {!Trap} unless [0 <= index < length]. Shared with {!Vm}. *)
-
-val ccmp : nan_taken:bool -> Lang.Ast.cmpop -> float -> float -> bool
-(** C comparison semantics: every ordered comparison involving NaN is
-    false and [!=] is true, unless [nan_taken] (finite-math codegen)
-    forces NaN comparisons to take the branch. Shared with {!Vm}. *)

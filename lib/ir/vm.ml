@@ -5,7 +5,9 @@ open Lang
    [program slots | pooled constants | expression temps], the int file
    as [program slots | pooled constants | temps]. Slot loads and
    constants therefore cost no instructions at all — they are read
-   directly as operands — and jump targets are absolute code indices. *)
+   directly as operands — and jump targets are absolute code indices.
+   Call instructions carry the site's libm kernel, bound at flatten
+   time; the function itself stays for [disasm]. *)
 type instr =
   (* float registers *)
   | Fmov of int * int (* dst <- src *)
@@ -16,9 +18,8 @@ type instr =
   | Fsub of int * int * int
   | Fmul of int * int * int
   | Fdiv of int * int * int
-  | Call1 of Ast.math_fn * int * int
-  | Call2 of Ast.math_fn * int * int * int
-  | Calln of Ast.math_fn * int * int array (* dst, arg regs *)
+  | Call1 of Ast.math_fn * (float -> float) * int * int
+  | Call2 of Ast.math_fn * (float -> float -> float) * int * int * int
   | Fma of int * int * int * int
   | Recip of int * int
   (* int registers *)
@@ -46,11 +47,9 @@ type program = {
   arr_lens : int array;
   bindings : Ir.param_binding list;
   comp_slot : int;
-  precision : Ast.precision;
   f32 : bool;
   ftz : bool;
   nan_cmp_taken : bool;
-  libm : Mathlib.Libm.flavor;
 }
 
 let code_size p = Array.length p.code
@@ -77,15 +76,11 @@ let instr_name p ins =
   | Fsub (d, a, b) -> Printf.sprintf "fsub %s <- %s %s" (fr d) (fr a) (fr b)
   | Fmul (d, a, b) -> Printf.sprintf "fmul %s <- %s %s" (fr d) (fr a) (fr b)
   | Fdiv (d, a, b) -> Printf.sprintf "fdiv %s <- %s %s" (fr d) (fr a) (fr b)
-  | Call1 (fn, d, a) ->
+  | Call1 (fn, _, d, a) ->
     Printf.sprintf "call1 %s %s <- %s" (Ast.math_fn_name fn) (fr d) (fr a)
-  | Call2 (fn, d, a, b) ->
+  | Call2 (fn, _, d, a, b) ->
     Printf.sprintf "call2 %s %s <- %s %s" (Ast.math_fn_name fn) (fr d) (fr a)
       (fr b)
-  | Calln (fn, d, regs) ->
-    Printf.sprintf "call%d %s %s <- %s" (Array.length regs)
-      (Ast.math_fn_name fn) (fr d)
-      (String.concat " " (Array.to_list (Array.map fr regs)))
   | Fma (d, a, b, c) ->
     Printf.sprintf "fma %s <- %s %s %s" (fr d) (fr a) (fr b) (fr c)
   | Recip (d, s) -> Printf.sprintf "recip %s <- %s" (fr d) (fr s)
@@ -111,6 +106,39 @@ let disasm p =
     (Array.mapi (fun k ins -> Printf.sprintf "%3d: %s" k (instr_name p ins))
        p.code)
 
+(* The execution helpers. dune's dev profile compiles every module with
+   [-opaque], so no cross-module function is ever inlined and a call to
+   {!Interp}'s or {!Fp.Bits}' versions would box its float argument and
+   result. These are built only from unboxed primitives and inlined into
+   [exec]; {!Interp} keeps the library versions as the oracle. *)
+
+let[@inline] flush ftz x =
+  if ftz && Float.abs x < 0x1p-1022 && x <> 0.0 then Float.copy_sign 0.0 x
+  else x
+
+let[@inline] round f32 x =
+  if f32 then Int32.float_of_bits (Int32.bits_of_float x) else x
+
+(* C comparison semantics, as {!Interp}: a NaN operand makes every
+   ordered comparison false and [!=] true, unless [nan_taken]. *)
+let[@inline] taken nan_taken (cmp : Ast.cmpop) (a : float) b =
+  if a <> a || b <> b then
+    nan_taken || match cmp with Ast.Ne -> true | _ -> false
+  else
+    match cmp with
+    | Ast.Lt -> a < b
+    | Ast.Le -> a <= b
+    | Ast.Gt -> a > b
+    | Ast.Ge -> a >= b
+    | Ast.Eq -> a = b
+    | Ast.Ne -> a <> b
+
+let[@inline never] trap array index length =
+  raise (Interp.Trap { Interp.array; index; length })
+
+let[@inline] check_bounds array index length =
+  if index < 0 || index >= length then trap array index length
+
 (* Flatten in two passes. Pass 1 validates every slot index and binding
    (so execution can use unsafe accessors) and interns the program's
    constants — float literals pre-rounded to storage precision, folded
@@ -120,10 +148,12 @@ let disasm p =
    register indices, giving every expression temp a stack-disciplined
    depth so results never outlive their single use. The two passes walk
    the tree identically (including skipping zero-trip [For] bodies), so
-   every constant pass 2 looks up was interned by pass 1. *)
+   every constant pass 2 looks up was interned by pass 1, and every call
+   pass 2 binds to a kernel has the arity pass 1 checked. *)
 let flatten (rt : Interp.runtime) (ir : Ir.t) =
-  let f32 = ir.Ir.precision = Ast.F32 in
-  let prec v = if f32 then Interp.round_f32 v else v in
+  let precision = ir.Ir.precision in
+  let f32 = precision = Ast.F32 in
+  let prec v = round f32 v in
   let n_arr = Array.length ir.Ir.arr_lens in
   let bad fmt = Printf.ksprintf (fun s -> invalid_arg ("Vm.flatten: " ^ s)) fmt in
   let check_f s = if s < 0 || s >= ir.Ir.n_fslots then bad "float slot f%d out of range" s in
@@ -197,7 +227,12 @@ let flatten (rt : Interp.runtime) (ir : Ir.t) =
       | Ir.Bin (_, a, b) ->
         fscan a;
         fscan b
-      | Ir.Call (_, args) -> List.iter fscan args
+      | Ir.Call (fn, args) ->
+        let arity = Ast.math_fn_arity fn and n = List.length args in
+        if n <> arity then
+          bad "%s takes %d argument(s), called with %d" (Ast.math_fn_name fn)
+            arity n;
+        List.iter fscan args
       | Ir.Fma (a, b, c) ->
         fscan a;
         fscan b;
@@ -357,26 +392,17 @@ let flatten (rt : Interp.runtime) (ir : Ir.t) =
       | Ir.Call (fn, [ a ]) ->
         let ra = fcompile a fd id in
         let d = dest fd in
-        emit (Call1 (fn, d, ra));
+        emit (Call1 (fn, Mathlib.Libm.kernel1 ~precision rt.Interp.libm fn, d, ra));
         d
       | Ir.Call (fn, [ a; b ]) ->
         let ra = fcompile a fd id in
         let fda = if ra >= ftemp then fd + 1 else fd in
         let rb = fcompile b fda id in
         let d = dest fd in
-        emit (Call2 (fn, d, ra, rb));
+        emit
+          (Call2 (fn, Mathlib.Libm.kernel2 ~precision rt.Interp.libm fn, d, ra, rb));
         d
-      | Ir.Call (fn, args) ->
-        let regs, _ =
-          List.fold_left
-            (fun (acc, fd) a ->
-              let r = fcompile a fd id in
-              (r :: acc, if r >= ftemp then fd + 1 else fd))
-            ([], fd) args
-        in
-        let d = dest fd in
-        emit (Calln (fn, d, Array.of_list (List.rev regs)));
-        d
+      | Ir.Call _ -> assert false (* arity checked by pass 1 *)
       | Ir.Fma (a, b, c) ->
         let ra = fcompile a fd id in
         let fda = if ra >= ftemp then fd + 1 else fd in
@@ -431,11 +457,9 @@ let flatten (rt : Interp.runtime) (ir : Ir.t) =
     arr_lens = Array.copy ir.Ir.arr_lens;
     bindings = ir.Ir.bindings;
     comp_slot = ir.Ir.comp_slot;
-    precision = ir.Ir.precision;
     f32;
     ftz = rt.Interp.ftz;
     nan_cmp_taken = rt.Interp.nan_cmp_taken;
-    libm = rt.Interp.libm;
   }
 
 (* The inner loop. Every register index in [code] was placed by
@@ -445,15 +469,12 @@ let flatten (rt : Interp.runtime) (ir : Ir.t) =
    precision are applied exactly where the tree interpreter applies
    them: operands of arithmetic and calls are flushed on read, results
    are flushed after rounding; moves, negation, and int->float
-   conversion copy raw bits. *)
-let exec p f ints arrs =
+   conversion copy raw bits. Only the libm kernels allocate: a closure
+   call boxes its argument and result. *)
+let exec p (f : float array) (ints : int array) (arrs : float array array) =
   let code = p.code in
   let stop = Array.length code in
-  let ftz = p.ftz and f32 = p.f32 in
-  let precision = p.precision and flavor = p.libm in
-  let nan_taken = p.nan_cmp_taken in
-  let flush x = if ftz then Fp.Bits.flush_subnormal x else x in
-  let prec x = if f32 then Interp.round_f32 x else x in
+  let ftz = p.ftz and f32 = p.f32 and nan_taken = p.nan_cmp_taken in
   let ops = ref 0 in
   let pc = ref 0 in
   while !pc < stop do
@@ -464,61 +485,50 @@ let exec p f ints arrs =
     | Load_arr (d, id, ki) ->
       let arr = Array.unsafe_get arrs id in
       let k = Array.unsafe_get ints ki in
-      Interp.check_bounds ~array:id ~index:k ~length:(Array.length arr);
+      check_bounds id k (Array.length arr);
       Array.unsafe_set f d (Array.unsafe_get arr k)
     | Itof (d, s) ->
-      Array.unsafe_set f d (prec (float_of_int (Array.unsafe_get ints s)))
+      Array.unsafe_set f d (round f32 (float_of_int (Array.unsafe_get ints s)))
     | Fneg (d, s) -> Array.unsafe_set f d (-.Array.unsafe_get f s)
     | Fadd (d, a, b) ->
-      let x = flush (Array.unsafe_get f a) in
-      let y = flush (Array.unsafe_get f b) in
+      let x = flush ftz (Array.unsafe_get f a) in
+      let y = flush ftz (Array.unsafe_get f b) in
       incr ops;
-      Array.unsafe_set f d (flush (prec (x +. y)))
+      Array.unsafe_set f d (flush ftz (round f32 (x +. y)))
     | Fsub (d, a, b) ->
-      let x = flush (Array.unsafe_get f a) in
-      let y = flush (Array.unsafe_get f b) in
+      let x = flush ftz (Array.unsafe_get f a) in
+      let y = flush ftz (Array.unsafe_get f b) in
       incr ops;
-      Array.unsafe_set f d (flush (prec (x -. y)))
+      Array.unsafe_set f d (flush ftz (round f32 (x -. y)))
     | Fmul (d, a, b) ->
-      let x = flush (Array.unsafe_get f a) in
-      let y = flush (Array.unsafe_get f b) in
+      let x = flush ftz (Array.unsafe_get f a) in
+      let y = flush ftz (Array.unsafe_get f b) in
       incr ops;
-      Array.unsafe_set f d (flush (prec (x *. y)))
+      Array.unsafe_set f d (flush ftz (round f32 (x *. y)))
     | Fdiv (d, a, b) ->
-      let x = flush (Array.unsafe_get f a) in
-      let y = flush (Array.unsafe_get f b) in
+      let x = flush ftz (Array.unsafe_get f a) in
+      let y = flush ftz (Array.unsafe_get f b) in
       incr ops;
-      Array.unsafe_set f d (flush (prec (x /. y)))
-    | Call1 (fn, d, a) ->
-      let x = flush (Array.unsafe_get f a) in
+      Array.unsafe_set f d (flush ftz (round f32 (x /. y)))
+    | Call1 (_, kernel, d, a) ->
+      let x = flush ftz (Array.unsafe_get f a) in
       incr ops;
-      Array.unsafe_set f d
-        (flush (prec (Mathlib.Libm.call1 ~precision flavor fn x)))
-    | Call2 (fn, d, a, b) ->
-      let x = flush (Array.unsafe_get f a) in
-      let y = flush (Array.unsafe_get f b) in
+      Array.unsafe_set f d (flush ftz (round f32 (kernel x)))
+    | Call2 (_, kernel, d, a, b) ->
+      let x = flush ftz (Array.unsafe_get f a) in
+      let y = flush ftz (Array.unsafe_get f b) in
       incr ops;
-      Array.unsafe_set f d
-        (flush (prec (Mathlib.Libm.call2 ~precision flavor fn x y)))
-    | Calln (fn, d, regs) ->
-      let args =
-        Array.fold_right
-          (fun r acc -> flush (Array.unsafe_get f r) :: acc)
-          regs []
-      in
-      incr ops;
-      Array.unsafe_set f d
-        (flush (prec (Mathlib.Libm.call ~precision flavor fn args)))
+      Array.unsafe_set f d (flush ftz (round f32 (kernel x y)))
     | Fma (d, a, b, c) ->
-      let x = flush (Array.unsafe_get f a) in
-      let y = flush (Array.unsafe_get f b) in
-      let z = flush (Array.unsafe_get f c) in
+      let x = flush ftz (Array.unsafe_get f a) in
+      let y = flush ftz (Array.unsafe_get f b) in
+      let z = flush ftz (Array.unsafe_get f c) in
       incr ops;
-      Array.unsafe_set f d (flush (prec (Fp.Fma.contract x y z)))
+      Array.unsafe_set f d (flush ftz (round f32 (Fp.Fma.contract x y z)))
     | Recip (d, s) ->
-      let v = flush (Array.unsafe_get f s) in
+      let v = flush ftz (Array.unsafe_get f s) in
       incr ops;
-      Array.unsafe_set f d (flush (prec (1.0 /. v)))
+      Array.unsafe_set f d (flush ftz (round f32 (1.0 /. v)))
     | Iconst (d, v) -> Array.unsafe_set ints d v
     | Ineg (d, s) -> Array.unsafe_set ints d (-Array.unsafe_get ints s)
     | Iadd (d, a, b) ->
@@ -532,17 +542,15 @@ let exec p f ints arrs =
     | Iaddi (d, s, imm) ->
       Array.unsafe_set ints d (Array.unsafe_get ints s + imm)
     | Check_arr (id, ki) ->
-      let k = Array.unsafe_get ints ki in
-      Interp.check_bounds ~array:id ~index:k
-        ~length:(Array.length (Array.unsafe_get arrs id))
+      check_bounds id (Array.unsafe_get ints ki)
+        (Array.length (Array.unsafe_get arrs id))
     | Store_arr (id, ki, v) ->
       let k = Array.unsafe_get ints ki in
       (* already bounds-checked by the paired Check_arr *)
       Array.unsafe_set (Array.unsafe_get arrs id) k (Array.unsafe_get f v)
     | Branch (cmp, la, ra, target) ->
-      let lhs = Array.unsafe_get f la in
-      let rhs = Array.unsafe_get f ra in
-      if not (Interp.ccmp ~nan_taken cmp lhs rhs) then pc := target
+      if not (taken nan_taken cmp (Array.unsafe_get f la) (Array.unsafe_get f ra))
+      then pc := target
     | Loop (slot, bound, back) ->
       let k = Array.unsafe_get ints slot + 1 in
       if k < bound then begin
@@ -555,7 +563,7 @@ let exec p f ints arrs =
 let run p (inputs : Inputs.t) =
   if List.length inputs <> List.length p.bindings then
     invalid_arg "Vm.run: input arity mismatch";
-  let prec v = if p.f32 then Interp.round_f32 v else v in
+  let prec v = round p.f32 v in
   (* fresh storage: slots, temps and arrays zeroed, constant registers
      preloaded from the pools *)
   let f = Array.make (max 1 p.n_fregs) 0.0 in

@@ -13,11 +13,13 @@
     constants (pre-rounded to the program's storage precision), and
     stack-disciplined expression temps — all indices absolute and
     pre-validated, with the runtime (libm flavor, FTZ, NaN-branch
-    polarity, precision) pre-bound into the program value. Slot reads
-    and constants are plain operand references, so they cost no
+    polarity, precision) pre-bound into the program value — each call
+    site carries its {!Mathlib.Libm.kernel1}/[kernel2] closure. Slot
+    reads and constants are plain operand references, so they cost no
     instructions at all. Execution is then a tight loop over unboxed
-    [float array] registers — no tree dispatch, no bounds checks except
-    for data-dependent array subscripts (which raise the same
+    [float array] registers — no tree dispatch, no allocation except a
+    libm kernel call's boxed argument and result, no bounds checks
+    except for data-dependent array subscripts (which raise the same
     {!Interp.Trap} as the reference engine).
 
     Every compiled binary runs on this engine; {!Interp} stays as the
@@ -32,7 +34,8 @@ val flatten : Interp.runtime -> Ir.t -> program
 (** Compile the IR under the given runtime. Validates every slot index
     and binding once and sizes the register file; raises
     [Invalid_argument] on malformed IR (a slot out of declared range, a
-    binding whose declared array length disagrees with [arr_lens]). *)
+    binding whose declared array length disagrees with [arr_lens], a
+    call whose argument count is not the function's arity). *)
 
 val code_size : program -> int
 (** Number of flat instructions (for tests and diagnostics). *)

@@ -469,25 +469,30 @@ let mutate_generate t example =
    text, and only rarely an exact structural repeat. The client re-rolls:
    always (twice if needed) on an exact-text repeat, usually (once) on a
    blind-rename structural repeat. The residue models the clones the
-   paper still observes in LLM4FP's output. *)
+   paper still observes in LLM4FP's output. Each candidate is rendered
+   and keyed once; the keys are pure, so computing both up front leaves
+   the draw sequence unchanged. Returns the accepted program with its C
+   rendering. *)
 let avoid_repeats t make =
-  let structural p = "2:" ^ Diversity.Clones.type2_key p in
-  let exact p = "1:" ^ Diversity.Clones.type1_key p in
   let rec roll attempts =
     let candidate = make () in
-    if attempts > 0 && Hashtbl.mem t.seen_structures (exact candidate) then
+    let text = Pp.to_c candidate in
+    let exact = "1:" ^ text in
+    let structural = "2:" ^ Diversity.Clones.type2_key candidate in
+    if attempts > 0 && Hashtbl.mem t.seen_structures exact then
       roll (attempts - 1)
     else if
       attempts > 0
-      && Hashtbl.mem t.seen_structures (structural candidate)
+      && Hashtbl.mem t.seen_structures structural
       && Util.Rng.chance t.rng 0.85
     then roll 0 (* one structural re-roll, accepted as-is *)
-    else candidate
+    else begin
+      Hashtbl.replace t.seen_structures exact ();
+      Hashtbl.replace t.seen_structures structural ();
+      (candidate, text)
+    end
   in
-  let final = roll 2 in
-  Hashtbl.replace t.seen_structures (exact final) ();
-  Hashtbl.replace t.seen_structures (structural final) ();
-  final
+  roll 2
 
 let rtt = 0.5
 let input_rate = 500.0
@@ -532,15 +537,18 @@ let prompt_precision = function
 let generate t prompt =
   Obs.Span.with_span "llm.generate" @@ fun () ->
   let backoff_latency = request_with_retry ~attempt:1 0.0 in
-  let program =
+  let program, text =
     match prompt with
     | Prompt.Direct _ -> avoid_repeats t (fun () -> direct_generate t)
     | Prompt.Grammar _ -> avoid_repeats t (fun () -> grammar_generate t)
     | Prompt.Mutate { example; _ } ->
       avoid_repeats t (fun () -> mutate_generate t example)
   in
-  let program = { program with Ast.precision = prompt_precision prompt } in
-  let source = Pp.to_c program in
+  let precision = prompt_precision prompt in
+  let source =
+    if program.Ast.precision = precision then text
+    else Pp.to_c { program with Ast.precision }
+  in
   let source =
     if Util.Rng.chance t.rng (flaw_rate prompt) then inject_flaw t source
     else source

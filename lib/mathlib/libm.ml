@@ -41,64 +41,76 @@ let is_hard = function
     true
   | _ -> false
 
+(* The float intrinsics (__sinf and friends) are a few float-ulps off;
+   on the F32 grid the divergence profile is correspondingly coarser. *)
+let cuda_fast32_profile = Perturb.profile ~salt:0x5F5F66L ~prob:0.6 ~max_ulps:3
+
+let grid_of = function Ast.F64 -> Perturb.F64 | Ast.F32 -> Perturb.F32
+
+(* nvcc's -use_fast_math intrinsics: the polynomial kernels. At F64 they
+   are the whole result; the __foof forms carry their own float-ulp
+   error on top. *)
+let poly_kernel precision grid fn k =
+  match precision with
+  | Ast.F64 -> k
+  | Ast.F32 -> Perturb.wrap1 ~grid cuda_fast32_profile fn k
+
+let kernel1 ?(precision = Ast.F64) flavor fn =
+  let grid = grid_of precision in
+  let base = Reference.eval1 fn in
+  let perturbed p = Perturb.wrap1 ~grid p fn base in
+  match flavor with
+  | Glibc -> base
+  | Mpfr_fold -> perturbed mpfr_profile
+  | Llvm_fold -> perturbed llvm_fold_profile
+  | Cuda -> perturbed (if is_hard fn then cuda_hard_profile else cuda_profile)
+  | Gcc_fast -> perturbed gcc_fast_profile
+  | Clang_fast -> perturbed clang_fast_profile
+  | Cuda_fast -> (
+    let poly = poly_kernel precision grid fn in
+    match fn with
+    | Ast.Sin -> poly Poly.sin_fast
+    | Ast.Cos -> poly Poly.cos_fast
+    | Ast.Tan -> poly Poly.tan_fast
+    | Ast.Exp -> poly Poly.exp_fast
+    | Ast.Exp2 -> poly Poly.exp2_fast
+    | Ast.Log -> poly Poly.log_fast
+    | Ast.Log2 -> poly Poly.log2_fast
+    | Ast.Log10 -> poly Poly.log10_fast
+    | _ -> perturbed cuda_fast_other_profile)
+
 (* Fast-math min/max lowering. C's fmin/fmax treat NaN as "missing", but
    under fast math compilers are free to emit a bare compare-and-select.
    gcc selects `a < b ? a : b`, clang the symmetric `b < a ? b : a`, so a
    NaN operand comes out differently per compiler; nvcc's device fast
    path keeps the IEEE number-favoring semantics. *)
-let fast_minmax flavor fn args =
-  match (flavor, fn, args) with
-  | Gcc_fast, Ast.Fmin, [ a; b ] -> Some (if a < b then a else b)
-  | Gcc_fast, Ast.Fmax, [ a; b ] -> Some (if a > b then a else b)
-  | Clang_fast, Ast.Fmin, [ a; b ] -> Some (if b < a then b else a)
-  | Clang_fast, Ast.Fmax, [ a; b ] -> Some (if b > a then b else a)
-  | _ -> None
+let kernel2 ?(precision = Ast.F64) flavor fn =
+  let grid = grid_of precision in
+  let base = Reference.eval2 fn in
+  let perturbed p = Perturb.wrap2 ~grid p fn base in
+  match (flavor, fn) with
+  | Gcc_fast, Ast.Fmin -> fun (a : float) b -> if a < b then a else b
+  | Gcc_fast, Ast.Fmax -> fun (a : float) b -> if a > b then a else b
+  | Clang_fast, Ast.Fmin -> fun (a : float) b -> if b < a then b else a
+  | Clang_fast, Ast.Fmax -> fun (a : float) b -> if b > a then b else a
+  | Glibc, _ -> base
+  | Mpfr_fold, _ -> perturbed mpfr_profile
+  | Llvm_fold, _ -> perturbed llvm_fold_profile
+  | Cuda, _ ->
+    perturbed (if is_hard fn then cuda_hard_profile else cuda_profile)
+  | Gcc_fast, _ -> perturbed gcc_fast_profile
+  | Clang_fast, _ -> perturbed clang_fast_profile
+  | Cuda_fast, Ast.Pow -> (
+    match precision with
+    | Ast.F64 -> Poly.pow_fast
+    | Ast.F32 -> Perturb.wrap2 ~grid cuda_fast32_profile fn Poly.pow_fast)
+  | Cuda_fast, _ -> perturbed cuda_fast_other_profile
 
-(* The float intrinsics (__sinf and friends) are a few float-ulps off;
-   on the F32 grid the divergence profile is correspondingly coarser. *)
-let cuda_fast32_profile = Perturb.profile ~salt:0x5F5F66L ~prob:0.6 ~max_ulps:3
-
-let call ?(precision = Ast.F64) flavor fn args =
-  let grid =
-    match precision with Ast.F64 -> Perturb.F64 | Ast.F32 -> Perturb.F32
-  in
-  match fast_minmax flavor fn args with
-  | Some v -> v
-  | None ->
-  let base = Reference.eval fn args in
-  match flavor with
-  | Glibc -> base
-  | Mpfr_fold -> Perturb.apply ~grid mpfr_profile fn args base
-  | Llvm_fold -> Perturb.apply ~grid llvm_fold_profile fn args base
-  | Cuda ->
-    let p = if is_hard fn then cuda_hard_profile else cuda_profile in
-    Perturb.apply ~grid p fn args base
-  | Gcc_fast -> Perturb.apply ~grid gcc_fast_profile fn args base
-  | Clang_fast -> Perturb.apply ~grid clang_fast_profile fn args base
-  | Cuda_fast -> begin
-    let polynomial =
-      match (fn, args) with
-      | Ast.Sin, [ x ] -> Some (Poly.sin_fast x)
-      | Ast.Cos, [ x ] -> Some (Poly.cos_fast x)
-      | Ast.Tan, [ x ] -> Some (Poly.tan_fast x)
-      | Ast.Exp, [ x ] -> Some (Poly.exp_fast x)
-      | Ast.Exp2, [ x ] -> Some (Poly.exp2_fast x)
-      | Ast.Log, [ x ] -> Some (Poly.log_fast x)
-      | Ast.Log2, [ x ] -> Some (Poly.log2_fast x)
-      | Ast.Log10, [ x ] -> Some (Poly.log10_fast x)
-      | Ast.Pow, [ x; y ] -> Some (Poly.pow_fast x y)
-      | _ -> None
-    in
-    match (polynomial, precision) with
-    | Some v, Ast.F64 -> v
-    | Some v, Ast.F32 ->
-      (* the __foof intrinsics carry their own float-ulp error *)
-      Perturb.apply ~grid cuda_fast32_profile fn args v
-    | None, _ -> Perturb.apply ~grid cuda_fast_other_profile fn args base
-  end
-
-let call1 ?precision flavor fn x = call ?precision flavor fn [ x ]
-let call2 ?precision flavor fn x y = call ?precision flavor fn [ x; y ]
+let call ?precision flavor fn args =
+  match args with
+  | [ x ] -> kernel1 ?precision flavor fn x
+  | [ x; y ] -> kernel2 ?precision flavor fn x y
+  | _ -> invalid_arg "Libm.call: arity mismatch"
 
 let profiles_doc =
   "glibc: baseline (identity). mpfr-fold: p=0.04, <=1 ulp. llvm-fold: \

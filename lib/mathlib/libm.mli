@@ -37,20 +37,31 @@ type flavor =
 
 val flavor_name : flavor -> string
 
+val kernel1 :
+  ?precision:Lang.Ast.precision -> flavor -> Lang.Ast.math_fn -> float -> float
+(** [kernel1 ~precision flavor fn] is the library's one-argument [fn]
+    under a vendor flavor, with everything that depends only on the
+    call site resolved once, at partial application: the reference
+    function, the fast-math polynomial, the divergence profile and the
+    per-function part of its hash. [precision] (default FP64) selects
+    the divergence grid: single-precision library functions disagree
+    at {e float} ulps, and the device fast-math intrinsics ([__sinf]
+    etc.) carry a few float-ulps of their own error. Raises
+    [Invalid_argument] if [fn] takes two arguments. *)
+
+val kernel2 :
+  ?precision:Lang.Ast.precision ->
+  flavor -> Lang.Ast.math_fn -> float -> float -> float
+(** The two-argument {!kernel1}, including the host fast-math
+    compare-and-select lowering of [fmin]/[fmax]. Raises
+    [Invalid_argument] if [fn] takes one argument. *)
+
 val call :
   ?precision:Lang.Ast.precision ->
   flavor -> Lang.Ast.math_fn -> float list -> float
-(** Evaluate one math-library call under a vendor flavor. [precision]
-    (default FP64) selects the divergence grid: single-precision library
-    functions disagree at {e float} ulps, and the device fast-math
-    intrinsics ([__sinf] etc.) carry a few float-ulps of their own error.
-    Raises [Invalid_argument] on arity mismatch. *)
-
-val call1 :
-  ?precision:Lang.Ast.precision -> flavor -> Lang.Ast.math_fn -> float -> float
-val call2 :
-  ?precision:Lang.Ast.precision ->
-  flavor -> Lang.Ast.math_fn -> float -> float -> float
+(** Evaluate one math-library call under a vendor flavor: {!kernel1} or
+    {!kernel2} by the length of the argument list. Raises
+    [Invalid_argument] on arity mismatch. *)
 
 val profiles_doc : string
 (** One-line-per-flavor description of the divergence model (salt,

@@ -21,10 +21,18 @@ val profile : salt:int64 -> prob:float -> max_ulps:int -> profile
 
 type grid = F64 | F32
 
-val apply :
-  ?grid:grid -> profile -> Lang.Ast.math_fn -> float list -> float -> float
-(** [apply p fn args base] nudges [base] according to the profile, on the
-    binary64 grid by default or the binary32 grid for single-precision
-    library calls. Exactly rounded functions
-    ({!Reference.is_exactly_rounded}), non-finite bases, and zero bases
-    are returned unchanged. *)
+val wrap1 :
+  ?grid:grid -> profile -> Lang.Ast.math_fn -> (float -> float) ->
+  float -> float
+(** [wrap1 p fn f] is [f] with each result nudged according to the
+    profile, on the binary64 grid by default or the binary32 grid for
+    single-precision library calls. Non-finite and zero results are
+    returned unchanged, and so is an exactly rounded [fn]
+    ({!Reference.is_exactly_rounded}): [wrap1] returns [f] itself. The
+    per-function part of the hash is computed once, at partial
+    application. *)
+
+val wrap2 :
+  ?grid:grid -> profile -> Lang.Ast.math_fn -> (float -> float -> float) ->
+  float -> float -> float
+(** The two-argument {!wrap1}. *)

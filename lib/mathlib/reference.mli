@@ -8,11 +8,11 @@
     floor, ceil, fmin, fmax, fmod) are identical across every vendor; see
     {!is_exactly_rounded}. *)
 
-val eval : Lang.Ast.math_fn -> float list -> float
-(** Apply the function. Raises [Invalid_argument] on an arity mismatch. *)
-
 val eval1 : Lang.Ast.math_fn -> float -> float
 val eval2 : Lang.Ast.math_fn -> float -> float -> float
+(** [eval1 fn] and [eval2 fn] resolve [fn] when partially applied and
+    return the bare function; they raise [Invalid_argument] on a
+    function of the other arity. *)
 
 val is_exactly_rounded : Lang.Ast.math_fn -> bool
 (** True for operations the IEEE standard fully specifies — every correct

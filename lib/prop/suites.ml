@@ -321,18 +321,21 @@ let codebleu_symmetric =
 
 (* A generated case plus a uniformly drawn configuration index: the VM
    must agree with the tree interpreter under every runtime the matrix
-   can produce (libm flavor, FTZ, NaN-branch polarity, precision), not
-   just strict mode. Shrinking minimizes the program/inputs and keeps
-   the configuration fixed. *)
+   can produce (libm flavor, FTZ, NaN-branch polarity), not just strict
+   mode. Half the programs are single precision, so the VM's own F32
+   rounding and the F32 libm kernels are checked too. Shrinking
+   minimizes the program/inputs and keeps the configuration and the
+   precision fixed. *)
 let vm_configs = Compiler.Config.all ()
 
 let vm_case =
   {
     Engine.gen =
       (fun rng ->
-        let case = Arb.case.Engine.gen rng in
+        let p, inputs = Arb.case.Engine.gen rng in
         let k = Util.Rng.int_in rng 0 (List.length vm_configs - 1) in
-        (case, k));
+        let precision = if Util.Rng.bool rng then Lang.Ast.F32 else Lang.Ast.F64 in
+        (({ p with Lang.Ast.precision }, inputs), k));
     shrink =
       (fun (case, k) ->
         Seq.map (fun c -> (c, k)) (Arb.case.Engine.shrink case));

@@ -263,7 +263,9 @@ let test_tables_csv_out () =
   if code <> 0 then Alcotest.fail ("tables --csv failed: " ^ err);
   check_bool "prints the requested table" true (contains out "Table 1");
   check_bool "nested --out written" true
-    (contains (read_file (Filename.concat nested "table2.csv")) "Approach");
+    (contains (read_file (Filename.concat nested "table1.csv")) "Level,gcc/clang,nvcc");
+  check_bool "only the requested section's CSV" false
+    (Sys.file_exists (Filename.concat nested "table2.csv"));
   (* no campaign runs: the trace sink, opened when the campaigns start,
      is never created *)
   let trace = Filename.concat dir "trace.jsonl" in
@@ -290,6 +292,48 @@ let test_tables_max_pairs () =
         && List.length (String.split_on_char '\n' (String.trim err)) = 1))
     [ "--max-pairs 0"; "--max-pairs=-5" ];
   check_bool "no campaign ran" false (Sys.file_exists trace)
+
+(* An unknown section name is refused before any campaign runs: one
+   stderr line naming the valid sections, nothing on stdout, no trace
+   file. *)
+let test_tables_unknown_section () =
+  with_tmpdir @@ fun dir ->
+  Unix.mkdir dir 0o755;
+  let trace = Filename.concat dir "trace.jsonl" in
+  let code, out, err =
+    run (Printf.sprintf "tables -t nosuch -b 100 --trace %s" (Filename.quote trace))
+  in
+  check_int "exit 1" 1 code;
+  check_string "nothing printed" "" out;
+  check_bool "one-line diagnostic naming the valid sections" true
+    (contains err "unknown section nosuch"
+    && List.for_all (contains err) Harness.Experiments.section_names
+    && List.length (String.split_on_char '\n' (String.trim err)) = 1);
+  check_bool "no campaign ran" false (Sys.file_exists trace)
+
+(* [-t NAME] computes only that section, with the same bytes the full
+   run prints under its "== NAME ==" header. *)
+let test_tables_one_section () =
+  let code, full, err = run "tables -b 20" in
+  if code <> 0 then Alcotest.fail ("tables failed: " ^ err);
+  let code, only, err = run "tables -b 20 -t table2" in
+  if code <> 0 then Alcotest.fail ("tables -t table2 failed: " ^ err);
+  let index_of needle =
+    let nh = String.length full and nn = String.length needle in
+    let rec scan i =
+      if i + nn > nh then None
+      else if String.sub full i nn = needle then Some i
+      else scan (i + 1)
+    in
+    scan 0
+  in
+  let header = "== table2 ==\n" and next = "\n== table3 ==\n" in
+  match (index_of header, index_of next) with
+  | Some start, Some stop ->
+    let start = start + String.length header in
+    check_string "same bytes as the full run's section"
+      (String.sub full start (stop - start)) only
+  | _ -> Alcotest.fail "full run lacks the table2 section"
 
 (* ------------------------------------------------------------------ *)
 (* Fleet: sharded campaigns, supervision, merge *)
@@ -462,7 +506,9 @@ let () =
         ] );
       ( "tables",
         [ Alcotest.test_case "csv --out" `Slow test_tables_csv_out;
-          Alcotest.test_case "max-pairs below 1" `Quick test_tables_max_pairs ] );
+          Alcotest.test_case "max-pairs below 1" `Quick test_tables_max_pairs;
+          Alcotest.test_case "unknown section" `Quick test_tables_unknown_section;
+          Alcotest.test_case "one section" `Slow test_tables_one_section ] );
       ( "fleet",
         [
           Alcotest.test_case "shard diagnostics" `Quick test_shard_diagnostics;

@@ -292,6 +292,127 @@ let test_frontend_cache_two_runs () =
       check_int "16 cache hits" 16 (Obs.Metrics.counter_value hits - hits0))
     [ 1; 4 ]
 
+(* The back end runs once per distinct (pipeline, runtime) key: 9 of the
+   18 configurations at FP64, 10 at FP32 where nvcc's -use_fast_math is
+   no longer -O3. [predicted] names each configuration's group: at -O0
+   gcc and clang ignore -ffp-contract=off (they contract nothing
+   unoptimized) while nvcc's -fmad=false does not; -O1/-O2/-O3 share
+   one pipeline per compiler. *)
+let test_backend_sharing () =
+  let predicted precision (c : Compiler.Config.t) =
+    let group =
+      match (c.personality, c.level) with
+      | Compiler.Personality.Nvcc, Compiler.Optlevel.O0_nofma -> 0
+      | _, (Compiler.Optlevel.O0_nofma | Compiler.Optlevel.O0) -> 1
+      | _, (Compiler.Optlevel.O1 | Compiler.Optlevel.O2 | Compiler.Optlevel.O3) -> 2
+      | Compiler.Personality.Nvcc, Compiler.Optlevel.O3_fastmath
+        when precision = Lang.Ast.F64 ->
+        2
+      | _, Compiler.Optlevel.O3_fastmath -> 3
+    in
+    (c.personality, group)
+  in
+  List.iter
+    (fun (precision, distinct) ->
+      List.iter
+        (fun jobs ->
+          let label = Printf.sprintf "%s jobs=%d"
+              (match precision with Lang.Ast.F64 -> "fp64" | Lang.Ast.F32 -> "fp32") jobs in
+          let p = { (parse simple) with Lang.Ast.precision } in
+          let binaries =
+            List.map
+              (function
+                | Either.Left (c, (b : Compiler.Driver.binary)) ->
+                  check_string (label ^ ": own config") (Compiler.Config.name c)
+                    (Compiler.Config.name b.config);
+                  (c, b)
+                | Either.Right (_, msg) -> Alcotest.fail msg)
+              (Compiler.Driver.matrix ~jobs p)
+          in
+          check_int (label ^ ": 18 binaries") 18 (List.length binaries);
+          let vms =
+            List.fold_left
+              (fun acc (_, (b : Compiler.Driver.binary)) ->
+                if List.memq b.vm acc then acc else b.vm :: acc)
+              [] binaries
+          in
+          check_int (label ^ ": distinct back ends") distinct (List.length vms);
+          List.iter
+            (fun (c1, (b1 : Compiler.Driver.binary)) ->
+              List.iter
+                (fun (c2, (b2 : Compiler.Driver.binary)) ->
+                  check_bool
+                    (Printf.sprintf "%s: %s / %s" label (Compiler.Config.name c1)
+                       (Compiler.Config.name c2))
+                    (predicted precision c1 = predicted precision c2)
+                    (b1.vm == b2.vm))
+                binaries)
+            binaries)
+        [ 1; 4 ])
+    [ (Lang.Ast.F64, 9); (Lang.Ast.F32, 10) ]
+
+(* Fault injection stays per configuration: all 18 configurations reach
+   the back-end site, shared or not, so the 18th hit exists and fails
+   once (one retry) and a 19th never happens. *)
+let test_backend_faults_per_config () =
+  let retries = Obs.Metrics.counter "retry.compiler.retries" in
+  List.iter
+    (fun (spec, expected) ->
+      List.iter
+        (fun jobs ->
+          match Exec.Faults.parse spec with
+          | Error msg -> Alcotest.fail msg
+          | Ok plan ->
+            Fun.protect ~finally:Exec.Faults.disarm (fun () ->
+                Exec.Faults.arm plan;
+                let before = Obs.Metrics.counter_value retries in
+                ignore (Compiler.Driver.matrix ~jobs (parse simple));
+                check_int
+                  (Printf.sprintf "%s jobs=%d: retries" spec jobs)
+                  expected
+                  (Obs.Metrics.counter_value retries - before)))
+        [ 1; 4 ])
+    [ ("backend@18:fail", 1); ("backend@19:fail", 0) ]
+
+(* A pool task's retry backoff is recorded and settled by the fan-out,
+   so it counts in the span open around [matrix], not in the task's own
+   [compiler.back_end] span, and the clock advances by the same seconds
+   at every job count. *)
+let test_backend_backoff_in_fanout_span () =
+  let span label =
+    List.find_opt
+      (fun (r : Obs.Span.row) -> r.Obs.Span.label = label)
+      (Obs.Span.summary ())
+  in
+  let sim label = match span label with Some r -> r.Obs.Span.sim_s | None -> 0.0 in
+  let backoff = Exec.Faults.backoff ~attempt:1 in
+  List.iter
+    (fun jobs ->
+      match Exec.Faults.parse "backend@1:fail" with
+      | Error msg -> Alcotest.fail msg
+      | Ok plan ->
+        Obs.Span.reset ();
+        Obs.Span.set_enabled true;
+        Exec.Faults.arm plan;
+        Fun.protect
+          ~finally:(fun () ->
+            Exec.Faults.disarm ();
+            Obs.Span.set_enabled false;
+            Obs.Span.reset ())
+          (fun () ->
+            let clock = Util.Sim_clock.create () in
+            Obs.Span.with_clock clock (fun () ->
+                Obs.Span.with_span "fanout" (fun () ->
+                    ignore (Compiler.Driver.matrix ~jobs (parse simple))));
+            let label what = Printf.sprintf "jobs=%d: %s" jobs what in
+            check_bool (label "clock charged once") true
+              (Util.Sim_clock.elapsed clock = backoff);
+            check_bool (label "fan-out span holds the charge") true
+              (sim "fanout" = backoff);
+            check_bool (label "back-end span saw none") true
+              (span "compiler.back_end" <> None && sim "compiler.back_end" = 0.0)))
+    [ 1; 4 ]
+
 let qcheck_matrix_compiles_varity =
   QCheck.Test.make ~name:"every Varity program compiles everywhere" ~count:100
     arbitrary_case (fun (p, _) ->
@@ -340,6 +461,12 @@ let () =
             test_matrix_matches_independent_compiles;
           Alcotest.test_case "front-end cache: 2 runs, 16 hits" `Quick
             test_frontend_cache_two_runs;
+          Alcotest.test_case "back ends shared per distinct pipeline" `Quick
+            test_backend_sharing;
+          Alcotest.test_case "back-end faults per configuration" `Quick
+            test_backend_faults_per_config;
+          Alcotest.test_case "back-end backoff in fan-out span" `Quick
+            test_backend_backoff_in_fanout_span;
           QCheck_alcotest.to_alcotest qcheck_matrix_compiles_varity;
           QCheck_alcotest.to_alcotest qcheck_work_positive;
         ] );

@@ -304,6 +304,17 @@ let test_vm_flatten_rejects_bad_ir () =
   in
   check_bool "binding length mismatch" true
     (try ignore (Irsim.Vm.flatten strict_rt bad_binding); false
+     with Invalid_argument _ -> true);
+  (* a call whose argument count does not match the function is
+     refused when flattened, not when the instruction runs *)
+  let bad_call =
+    { bad with
+      Irsim.Ir.body =
+        [ Irsim.Ir.Store
+            (0, Irsim.Ir.Call (Ast.Sin, [ Irsim.Ir.Const 1.0; Irsim.Ir.Const 2.0 ])) ] }
+  in
+  check_bool "wrong-arity call" true
+    (try ignore (Irsim.Vm.flatten strict_rt bad_call); false
      with Invalid_argument _ -> true)
 
 (* ------------------------------------------------------------------ *)

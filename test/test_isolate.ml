@@ -54,8 +54,8 @@ void compute(double x) {
     else
       let x = Util.Rng.float_in rng (-3.0) 3.0 in
       if
-        Mathlib.Libm.call1 Mathlib.Libm.Cuda Lang.Ast.Sin x
-        <> Mathlib.Libm.call1 Mathlib.Libm.Glibc Lang.Ast.Sin x
+        Mathlib.Libm.kernel1 Mathlib.Libm.Cuda Lang.Ast.Sin x
+        <> Mathlib.Libm.kernel1 Mathlib.Libm.Glibc Lang.Ast.Sin x
       then Some x
       else hunt (k - 1)
   in

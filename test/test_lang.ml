@@ -188,6 +188,54 @@ let test_to_cuda_structure () =
     [ "__global__ void compute"; "compute<<<1, 1>>>"; "cudaMallocManaged";
       "cudaDeviceSynchronize();" ]
 
+(* Golden digest of every rendering the pipeline consumes: the host and
+   device translation units, the compute function (both spellings),
+   per-statement lines and the Type-2 clone key. The corpora are
+   fixed-seed campaigns of every approach at FP64 and FP32 plus 300
+   Varity programs at both precisions. Pinned when the printer built
+   its text by string concatenation; any byte of output it changes
+   changes the digest. *)
+let test_render_golden_digest () =
+  let campaign precision approach =
+    (Harness.Campaign.run ~budget:25 ~precision ~seed:4242 approach)
+      .Harness.Campaign.programs
+  in
+  let approaches =
+    Array.to_list Harness.Approach.all @ [ Harness.Approach.Bandit ]
+  in
+  let varity =
+    let rng = Util.Rng.of_int 4243 in
+    List.init 300 (fun _ -> Gen.Varity.generate rng)
+  in
+  let corpus =
+    List.concat_map
+      (fun precision ->
+        List.concat_map (campaign precision) approaches
+        @ List.map (fun p -> { p with Ast.precision }) varity)
+      [ Ast.F64; Ast.F32 ]
+  in
+  let b = Buffer.create (1 lsl 20) in
+  let add s =
+    Buffer.add_string b s;
+    Buffer.add_char b '\x00'
+  in
+  List.iter
+    (fun (p : Ast.program) ->
+      add (Pp.to_c p);
+      add (Pp.to_cuda p);
+      add (Pp.compute_to_string p);
+      add (Pp.compute_to_string ~cuda:true p);
+      List.iter
+        (fun stmt ->
+          List.iter add (Pp.stmt_to_lines p.precision 0 stmt);
+          List.iter add (Pp.stmt_to_lines p.precision 2 stmt))
+        p.body;
+      add (Diversity.Clones.type2_key p))
+    corpus;
+  check_int "corpus size" 845 (List.length corpus);
+  check_string "rendering digest" "275f277f346d8a4191a571b391c28bed"
+    (Digest.to_hex (Digest.string (Buffer.contents b)))
+
 let qcheck_map_exprs_identity =
   QCheck.Test.make ~name:"map_exprs with identity preserves body" ~count:100
     arbitrary_program (fun p ->
@@ -225,6 +273,7 @@ let () =
           Alcotest.test_case "f32 spelling" `Quick test_f32_spelling;
           Alcotest.test_case "C structure" `Quick test_to_c_structure;
           Alcotest.test_case "CUDA structure" `Quick test_to_cuda_structure;
+          Alcotest.test_case "golden digest" `Quick test_render_golden_digest;
           QCheck_alcotest.to_alcotest qcheck_map_exprs_identity;
         ] );
     ]

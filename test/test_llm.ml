@@ -75,6 +75,17 @@ let test_token_count () =
   check_int "words" 3 (Llm.Prompt.token_count "a b\nc");
   check_int "empty" 0 (Llm.Prompt.token_count "")
 
+(* Pinned word counts: words are maximal runs of characters other than
+   space and newline — a tab is part of a word, not a separator. *)
+let test_token_count_separators () =
+  List.iter
+    (fun (s, n) -> check_int (String.escaped s) n (Llm.Prompt.token_count s))
+    [ ("", 0); (" ", 0); ("\n", 0); ("  \n \n\n ", 0); ("word", 1);
+      ("a\tb", 1); ("\t", 1); (" \t \n", 1); ("a\t b", 2);
+      ("  lead", 1); ("trail  ", 1); ("\n\nlead\nand trail\n\n", 3);
+      ("a   b    c", 3); ("a\n\n\nb", 2); ("x \n y\n\tz\t", 3);
+      ("void compute(double x) {\n  comp += x;\n}", 8) ]
+
 (* ------------------------------------------------------------------ *)
 (* Sampler *)
 
@@ -280,6 +291,8 @@ let () =
           Alcotest.test_case "grammar" `Quick test_prompt_render_grammar;
           Alcotest.test_case "mutate" `Quick test_prompt_render_mutate;
           Alcotest.test_case "token count" `Quick test_token_count;
+          Alcotest.test_case "token count separators" `Quick
+            test_token_count_separators;
         ] );
       ( "sampler",
         [

@@ -22,8 +22,11 @@ let test_reference_arity_errors () =
   check_bool "eval1 on pow raises" true
     (try ignore (Mathlib.Reference.eval1 Ast.Pow 1.0); false
      with Invalid_argument _ -> true);
-  check_bool "eval arity mismatch raises" true
-    (try ignore (Mathlib.Reference.eval Ast.Sin [ 1.0; 2.0 ]); false
+  check_bool "eval2 on sin raises" true
+    (try ignore (Mathlib.Reference.eval2 Ast.Sin 1.0 2.0); false
+     with Invalid_argument _ -> true);
+  check_bool "call arity mismatch raises" true
+    (try ignore (Mathlib.Libm.call Mathlib.Libm.Glibc Ast.Sin [ 1.0; 2.0 ]); false
      with Invalid_argument _ -> true)
 
 let test_exactly_rounded_set () =
@@ -37,51 +40,53 @@ let test_exactly_rounded_set () =
 
 let profile = Mathlib.Perturb.profile ~salt:0xABCDL ~prob:0.5 ~max_ulps:2
 
+let sin_site = Mathlib.Perturb.wrap1 profile Ast.Sin sin
+
 let test_perturb_deterministic () =
-  let a = Mathlib.Perturb.apply profile Ast.Sin [ 1.7 ] (sin 1.7) in
-  let b = Mathlib.Perturb.apply profile Ast.Sin [ 1.7 ] (sin 1.7) in
-  check_bool "same args same nudge" true (a = b)
+  let again = Mathlib.Perturb.wrap1 profile Ast.Sin sin in
+  check_bool "same args same nudge" true (sin_site 1.7 = sin_site 1.7);
+  check_bool "same site same nudge" true (sin_site 1.7 = again 1.7)
 
 let test_perturb_bounded () =
   let rng = Util.Rng.of_int 99 in
   for _ = 1 to 2000 do
     let x = Util.Rng.float_in rng (-20.0) 20.0 in
-    let base = sin x in
-    let nudged = Mathlib.Perturb.apply profile Ast.Sin [ x ] base in
-    check_bool "within max_ulps" true (Fp.Bits.ulp_distance base nudged <= 2L)
+    check_bool "within max_ulps" true
+      (Fp.Bits.ulp_distance (sin x) (sin_site x) <= 2L)
   done
 
 let test_perturb_rate () =
+  let cos_site = Mathlib.Perturb.wrap1 profile Ast.Cos cos in
   let rng = Util.Rng.of_int 100 in
   let hits = ref 0 in
   let n = 5000 in
   for _ = 1 to n do
     let x = Util.Rng.float_in rng (-20.0) 20.0 in
-    let base = cos x in
-    if Mathlib.Perturb.apply profile Ast.Cos [ x ] base <> base then incr hits
+    if cos_site x <> cos x then incr hits
   done;
   let rate = float_of_int !hits /. float_of_int n in
   check_bool "rate near configured 0.5" true (Float.abs (rate -. 0.5) < 0.05)
 
 let test_perturb_skips_exact_and_special () =
-  check_bool "sqrt untouched" true
-    (Mathlib.Perturb.apply profile Ast.Sqrt [ 2.0 ] (sqrt 2.0) = sqrt 2.0);
+  let exact = Float.sqrt in
+  check_bool "sqrt kernel returned as is" true
+    (Mathlib.Perturb.wrap1 profile Ast.Sqrt exact == exact);
   check_bool "nan untouched" true
-    (Float.is_nan (Mathlib.Perturb.apply profile Ast.Sin [ Float.nan ] Float.nan));
-  check_bool "zero untouched" true
-    (Mathlib.Perturb.apply profile Ast.Sin [ 0.0 ] 0.0 = 0.0)
+    (Float.is_nan
+       (Mathlib.Perturb.wrap1 profile Ast.Sin (fun _ -> Float.nan) Float.nan));
+  check_bool "zero untouched" true (sin_site 0.0 = 0.0)
 
 let test_salts_decorrelated () =
   let p1 = Mathlib.Perturb.profile ~salt:1L ~prob:0.5 ~max_ulps:1 in
   let p2 = Mathlib.Perturb.profile ~salt:2L ~prob:0.5 ~max_ulps:1 in
+  let s1 = Mathlib.Perturb.wrap1 p1 Ast.Sin sin in
+  let s2 = Mathlib.Perturb.wrap1 p2 Ast.Sin sin in
   let rng = Util.Rng.of_int 101 in
   let agree = ref 0 and n = 2000 in
   for _ = 1 to n do
     let x = Util.Rng.float_in rng (-20.0) 20.0 in
     let base = sin x in
-    let a = Mathlib.Perturb.apply p1 Ast.Sin [ x ] base <> base in
-    let b = Mathlib.Perturb.apply p2 Ast.Sin [ x ] base <> base in
-    if a = b then incr agree
+    if (s1 x <> base) = (s2 x <> base) then incr agree
   done;
   (* independent coins agree about half the time *)
   let rate = float_of_int !agree /. float_of_int n in
@@ -164,13 +169,13 @@ let test_exact_fns_identical_everywhere () =
     List.iter
       (fun flavor ->
         check_bool "sqrt identical across vendors" true
-          (Mathlib.Libm.call1 flavor Ast.Sqrt x = reference))
+          (Mathlib.Libm.kernel1 flavor Ast.Sqrt x = reference))
       all_flavors
   done
 
 let test_glibc_is_baseline () =
   check_bool "glibc = reference" true
-    (Mathlib.Libm.call1 Mathlib.Libm.Glibc Ast.Sin 0.7 = sin 0.7)
+    (Mathlib.Libm.kernel1 Mathlib.Libm.Glibc Ast.Sin 0.7 = sin 0.7)
 
 let test_cuda_diverges_sometimes () =
   let rng = Util.Rng.of_int 601 in
@@ -178,8 +183,8 @@ let test_cuda_diverges_sometimes () =
   for _ = 1 to 2000 do
     let x = Util.Rng.float_in rng (-20.0) 20.0 in
     if
-      Mathlib.Libm.call1 Mathlib.Libm.Cuda Ast.Sin x
-      <> Mathlib.Libm.call1 Mathlib.Libm.Glibc Ast.Sin x
+      Mathlib.Libm.kernel1 Mathlib.Libm.Cuda Ast.Sin x
+      <> Mathlib.Libm.kernel1 Mathlib.Libm.Glibc Ast.Sin x
     then incr diff
   done;
   check_bool "cuda diverges on some args" true (!diff > 100);
@@ -187,25 +192,25 @@ let test_cuda_diverges_sometimes () =
 
 let test_cuda_deterministic () =
   check_bool "same value both calls" true
-    (Mathlib.Libm.call1 Mathlib.Libm.Cuda Ast.Exp 3.21
-    = Mathlib.Libm.call1 Mathlib.Libm.Cuda Ast.Exp 3.21)
+    (Mathlib.Libm.kernel1 Mathlib.Libm.Cuda Ast.Exp 3.21
+    = Mathlib.Libm.kernel1 Mathlib.Libm.Cuda Ast.Exp 3.21)
 
 let test_fast_minmax_nan_semantics () =
   let open Mathlib.Libm in
   (* precise: NaN is "missing data" *)
-  check_bool "precise fmin(nan, 3) = 3" true (call2 Glibc Ast.Fmin Float.nan 3.0 = 3.0);
+  check_bool "precise fmin(nan, 3) = 3" true (kernel2 Glibc Ast.Fmin Float.nan 3.0 = 3.0);
   (* gcc fast: a < b ? a : b -> NaN compares false -> returns b *)
   check_bool "gcc-fast fmin(nan, 3) = 3" true
-    (call2 Gcc_fast Ast.Fmin Float.nan 3.0 = 3.0);
+    (kernel2 Gcc_fast Ast.Fmin Float.nan 3.0 = 3.0);
   check_bool "gcc-fast fmin(3, nan) = nan" true
-    (Float.is_nan (call2 Gcc_fast Ast.Fmin 3.0 Float.nan));
+    (Float.is_nan (kernel2 Gcc_fast Ast.Fmin 3.0 Float.nan));
   (* clang fast: b < a ? b : a -> returns a *)
   check_bool "clang-fast fmin(nan, 3) = nan" true
-    (Float.is_nan (call2 Clang_fast Ast.Fmin Float.nan 3.0));
+    (Float.is_nan (kernel2 Clang_fast Ast.Fmin Float.nan 3.0));
   (* the two host fast-math lowerings disagree under NaN *)
   check_bool "gcc/clang disagree on NaN" true
-    (Float.is_nan (call2 Clang_fast Ast.Fmax Float.nan 1.0)
-    && not (Float.is_nan (call2 Gcc_fast Ast.Fmax Float.nan 1.0)))
+    (Float.is_nan (kernel2 Clang_fast Ast.Fmax Float.nan 1.0)
+    && not (Float.is_nan (kernel2 Gcc_fast Ast.Fmax Float.nan 1.0)))
 
 let test_fast_minmax_agree_on_numbers () =
   let rng = Util.Rng.of_int 602 in
@@ -214,14 +219,14 @@ let test_fast_minmax_agree_on_numbers () =
     let b = Util.Rng.float_in rng (-50.0) 50.0 in
     let reference = Float.min_num a b in
     check_bool "gcc fast fmin on numbers" true
-      (Mathlib.Libm.call2 Mathlib.Libm.Gcc_fast Ast.Fmin a b = reference);
+      (Mathlib.Libm.kernel2 Mathlib.Libm.Gcc_fast Ast.Fmin a b = reference);
     check_bool "clang fast fmin on numbers" true
-      (Mathlib.Libm.call2 Mathlib.Libm.Clang_fast Ast.Fmin a b = reference)
+      (Mathlib.Libm.kernel2 Mathlib.Libm.Clang_fast Ast.Fmin a b = reference)
   done
 
 let test_cuda_fast_uses_poly () =
   check_bool "cuda fast sin = poly sin" true
-    (Mathlib.Libm.call1 Mathlib.Libm.Cuda_fast Ast.Sin 1.234
+    (Mathlib.Libm.kernel1 Mathlib.Libm.Cuda_fast Ast.Sin 1.234
     = Mathlib.Poly.sin_fast 1.234)
 
 let test_f32_divergence_survives_rounding () =
@@ -233,8 +238,8 @@ let test_f32_divergence_survives_rounding () =
   for _ = 1 to n do
     let x = to32 (Util.Rng.float_in rng (-20.0) 20.0) in
     let reference = to32 (sin x) in
-    let a64 = to32 (Mathlib.Libm.call1 ~precision:Lang.Ast.F64 Mathlib.Libm.Cuda Ast.Sin x) in
-    let a32 = to32 (Mathlib.Libm.call1 ~precision:Lang.Ast.F32 Mathlib.Libm.Cuda Ast.Sin x) in
+    let a64 = to32 (Mathlib.Libm.kernel1 ~precision:Lang.Ast.F64 Mathlib.Libm.Cuda Ast.Sin x) in
+    let a32 = to32 (Mathlib.Libm.kernel1 ~precision:Lang.Ast.F32 Mathlib.Libm.Cuda Ast.Sin x) in
     if a64 <> reference then incr diff64;
     if a32 <> reference then incr diff32
   done;
@@ -247,10 +252,55 @@ let test_cuda_fast32_intrinsic_error () =
   let diff = ref 0 and n = 1000 in
   for _ = 1 to n do
     let x = to32 (Util.Rng.float_in rng (-8.0) 8.0) in
-    let fast = to32 (Mathlib.Libm.call1 ~precision:Lang.Ast.F32 Mathlib.Libm.Cuda_fast Ast.Sin x) in
+    let fast = to32 (Mathlib.Libm.kernel1 ~precision:Lang.Ast.F32 Mathlib.Libm.Cuda_fast Ast.Sin x) in
     if fast <> to32 (sin x) then incr diff
   done;
   check_bool "float intrinsics carry error" true (!diff > 300)
+
+(* Golden digest of every vendor library's result bits: each flavor x
+   function x precision over a fixed argument grid (signed zeros,
+   subnormals, infinities, NaN, decades from 1e-300 to 1e300, and
+   neighbours of pi/2 and 1), binary functions over every grid pair —
+   so fmin/fmax under the fast flavors are covered too. Pinned when the
+   list-form dispatch was the only implementation; any change to a
+   single result bit changes the digest. *)
+let golden_grid =
+  let near x = [ Float.pred x; x; Float.succ x ] in
+  let decades =
+    List.concat_map
+      (fun e ->
+        let v = float_of_string (Printf.sprintf "1e%d" e) in
+        [ v; -.v ])
+      [ -300; -200; -100; -30; -10; -3; -1; 0; 1; 3; 10; 30; 100; 200; 300 ]
+  in
+  [ 0.0; -0.0; 4.9e-324; -4.9e-324; 2.2250738585072009e-308; -1e-310;
+    Float.infinity; Float.neg_infinity; Float.nan ]
+  @ decades
+  @ near 1.5707963267948966 @ near (-1.5707963267948966) @ near 1.0
+  @ near (-1.0)
+  @ [ 0.5; 0.7; 2.5; 3.141592653589793; 709.78; -745.1 ]
+
+let test_libm_golden_digest () =
+  let b = Buffer.create (1 lsl 20) in
+  let add v = Buffer.add_int64_le b (Int64.bits_of_float v) in
+  List.iter
+    (fun precision ->
+      List.iter
+        (fun flavor ->
+          Array.iter
+            (fun fn ->
+              let call = Mathlib.Libm.call ~precision flavor fn in
+              match Ast.math_fn_arity fn with
+              | 1 -> List.iter (fun x -> add (call [ x ])) golden_grid
+              | _ ->
+                List.iter
+                  (fun x -> List.iter (fun y -> add (call [ x; y ])) golden_grid)
+                  golden_grid)
+            Ast.all_math_fns)
+        all_flavors)
+    [ Ast.F64; Ast.F32 ];
+  check_string "result bits digest" "1ccec6e4c285e6e2c8b92bbe8a5ba606"
+    (Digest.to_hex (Digest.string (Buffer.contents b)))
 
 let test_flavor_names_distinct () =
   let names = List.map Mathlib.Libm.flavor_name all_flavors in
@@ -297,5 +347,6 @@ let () =
           Alcotest.test_case "f32 grid divergence" `Quick test_f32_divergence_survives_rounding;
           Alcotest.test_case "f32 intrinsic error" `Quick test_cuda_fast32_intrinsic_error;
           Alcotest.test_case "flavor names" `Quick test_flavor_names_distinct;
+          Alcotest.test_case "golden digest" `Quick test_libm_golden_digest;
         ] );
     ]
