@@ -111,6 +111,13 @@ val run :
     globally unique slot numbers. At offset 0, behaviour is
     bit-identical to before the parameter existed. *)
 
+val admit :
+  string ->
+  (Lang.Ast.program, [ `Parse of string | `Validate of string ]) result
+(** The generation front end every LLM response passes: parse, then
+    validate. A rejected candidate costs its slot as a generation
+    failure. *)
+
 val signature : outcome -> int * int * int * int * float
 (** (total inconsistencies, total comparisons, feedback-set size,
     generation failures, simulated seconds): the outcome fields that

@@ -279,20 +279,27 @@ let replace_first haystack needle replacement =
   in
   scan 0
 
+type flaw = Unknown_function | Uninitialized_variable | Undefined_call
+
+let flaws = [| Unknown_function; Uninitialized_variable; Undefined_call |]
+
 let comp_decl = "double comp = 0.0;"
 
-let inject_flaw t source =
-  match Util.Rng.int t.rng 3 with
-  | 0 ->
+let apply_flaw flaw source =
+  match flaw with
+  | Unknown_function ->
     (* unsupported math function (outside the allowed headers' subset) *)
     replace_first source comp_decl "double comp = erf(0.5);"
-  | 1 ->
+  | Uninitialized_variable ->
     (* uninitialized variable: rejected by the validator *)
     replace_first source comp_decl
       (comp_decl ^ "\n  double uninitialized_value;")
-  | _ ->
+  | Undefined_call ->
     (* call to a function that does not exist *)
     replace_first source comp_decl (comp_decl ^ "\n  comp = randval();")
+
+let inject_flaw t source =
+  apply_flaw flaws.(Util.Rng.int t.rng (Array.length flaws)) source
 
 (* --------------------------------------------------------------- *)
 

@@ -77,3 +77,16 @@ val generation_config : Gen.Gen_config.t
 val flaw_rate : Prompt.t -> float
 (** Probability this prompt shape yields an invalid program (exposed for
     tests and documentation). *)
+
+type flaw =
+  | Unknown_function  (** [comp] initialised by [erf], outside the subset *)
+  | Uninitialized_variable  (** a declaration without initializer *)
+  | Undefined_call  (** a call to a function that does not exist *)
+
+val flaws : flaw array
+(** Every mistake kind, in the order a flawed response draws them
+    (uniformly, one [Rng.int] draw). *)
+
+val apply_flaw : flaw -> string -> string
+(** The mistake injected into a response's source text, anchored on the
+    [comp] declaration. *)

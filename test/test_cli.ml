@@ -311,6 +311,25 @@ let test_tables_unknown_section () =
     && List.length (String.split_on_char '\n' (String.trim err)) = 1);
   check_bool "no campaign ran" false (Sys.file_exists trace)
 
+(* Every paper number at budget 100, byte for byte: the summary's
+   measured real-compute seconds are the only figures masked. *)
+let test_tables_golden () =
+  let code, out, err = run "tables -b 100" in
+  if code <> 0 then Alcotest.fail ("tables failed: " ^ err);
+  let marker = "; real compute " in
+  let mask line =
+    let nl = String.length line and nm = String.length marker in
+    let rec scan i =
+      if i + nm > nl then line
+      else if String.sub line i nm = marker then
+        String.sub line 0 (i + nm) ^ "(masked)"
+      else scan (i + 1)
+    in
+    scan 0
+  in
+  check_golden "tables -b 100" ~golden:"golden/tables_b100.txt"
+    (String.concat "\n" (List.map mask (String.split_on_char '\n' out)))
+
 (* [-t NAME] computes only that section, with the same bytes the full
    run prints under its "== NAME ==" header. *)
 let test_tables_one_section () =
@@ -508,6 +527,7 @@ let () =
         [ Alcotest.test_case "csv --out" `Slow test_tables_csv_out;
           Alcotest.test_case "max-pairs below 1" `Quick test_tables_max_pairs;
           Alcotest.test_case "unknown section" `Quick test_tables_unknown_section;
+          Alcotest.test_case "golden b100" `Slow test_tables_golden;
           Alcotest.test_case "one section" `Slow test_tables_one_section ] );
       ( "fleet",
         [

@@ -246,6 +246,36 @@ let qcheck_diff_count_symmetric =
     QCheck.(pair arbitrary_finite arbitrary_finite)
     (fun (a, b) -> Fp.Digits.diff_count a b = Fp.Digits.diff_count b a)
 
+(* Golden digest of the digit metric over every ordered pair of a fixed
+   grid (signed zeros, subnormals, powers of ten, values whose 16 digits
+   agree though their bits differ, decimal carries, extreme exponents,
+   non-finite values), plus each grid value's decomposition or the
+   message it is refused with. *)
+let digits_grid =
+  let base =
+    [ 0.0; 5e-324; 2.2250738585072009e-308; 2.2250738585072014e-308; 1e-300;
+      1e-17; 0.1; 0.3 -. 1e-16; 0.3; 1.0; Float.succ 1.0; Float.pred 1.0;
+      1.5; 9.999999999999999; 10.0; 15.0; 123456789.0; 1e15; 1e16; 1e22;
+      1e300; Float.max_float ]
+  in
+  List.concat_map (fun x -> [ x; -.x ]) base
+  @ [ Float.nan; Float.infinity; Float.neg_infinity ]
+
+let test_digits_golden_digest () =
+  let b = Buffer.create 4096 in
+  List.iter
+    (fun x ->
+      (match Fp.Digits.decompose x with
+       | neg, digits, exp10 ->
+         Printf.bprintf b "%b %s %d;" neg digits exp10
+       | exception Invalid_argument msg -> Printf.bprintf b "E %s;" msg);
+      List.iter
+        (fun y -> Printf.bprintf b "%d " (Fp.Digits.diff_count x y))
+        digits_grid)
+    digits_grid;
+  check_string "digit digest" "bcfd5452136229ecff1a97c4e9938c73"
+    (Digest.to_hex (Digest.string (Buffer.contents b)))
+
 let test_acc () =
   let acc = Fp.Digits.Acc.empty in
   check_string "empty renders dash" "-" (Fp.Digits.Acc.to_string acc);
@@ -298,6 +328,7 @@ let () =
           Alcotest.test_case "decompose zero" `Quick test_decompose_zero;
           Alcotest.test_case "diff count cases" `Quick test_diff_count_cases;
           Alcotest.test_case "cascading carry" `Quick test_diff_count_cascade;
+          Alcotest.test_case "golden digest" `Quick test_digits_golden_digest;
           QCheck_alcotest.to_alcotest qcheck_diff_count_bounds;
           QCheck_alcotest.to_alcotest qcheck_diff_count_symmetric;
           Alcotest.test_case "accumulator" `Quick test_acc;

@@ -236,6 +236,91 @@ let qcheck_expr_roundtrip =
            p.Ast.body);
       !ok)
 
+(* ------------------------------------------------------------------ *)
+(* Golden digests *)
+
+(* The texts the lexer and parser digests run over: every corpus kernel;
+   the host and device units of fixed-seed 25-slot campaigns of every
+   approach at both precisions; each mistake injection of the FP64 host
+   units; every prefix of 20 host units (unterminated blocks and
+   strings, missing expressions, lex errors on every line); and a few
+   hand-written error inputs. *)
+let golden_sources =
+  lazy
+    (let campaign precision approach =
+       (Harness.Campaign.run ~budget:25 ~precision ~seed:4242 approach)
+         .Harness.Campaign.programs
+     in
+     let approaches =
+       Array.to_list Harness.Approach.all @ [ Harness.Approach.Bandit ]
+     in
+     let corpus =
+       Array.to_list Llm.Corpus.entries
+       |> List.map (fun e -> Pp.compute_to_string (Llm.Corpus.program e))
+     in
+     let programs precision = List.concat_map (campaign precision) approaches in
+     let f64 = programs Ast.F64 and f32 = programs Ast.F32 in
+     let units = List.concat_map (fun p -> [ Pp.to_c p; Pp.to_cuda p ]) (f64 @ f32) in
+     let flawed =
+       List.concat_map
+         (fun p ->
+           Array.to_list
+             (Array.map (fun f -> Llm.Client.apply_flaw f (Pp.to_c p))
+                Llm.Client.flaws))
+         f64
+     in
+     let prefixes =
+       List.filteri (fun i _ -> i < 20) (f64 @ f32)
+       |> List.concat_map (fun p ->
+              let src = Pp.to_c p in
+              List.init (String.length src + 1) (fun k -> String.sub src 0 k))
+     in
+     let handwritten =
+       [ ""; "a $ b"; "x\n\n  @"; "a /* open\n"; "printf(\"%d\n"; "1.5e";
+         "1e+"; ".5f"; "0x1"; "!"; "a != b"; "<<< >>>"; "2147483648999999999999";
+         "void compute(double x) {\n  double comp = 0.0;\n  comp = x +;\n}" ]
+     in
+     corpus @ units @ flawed @ prefixes @ handwritten)
+
+let golden_digest f =
+  let b = Buffer.create (1 lsl 20) in
+  List.iter
+    (fun src ->
+      f b src;
+      Buffer.add_char b '\x00')
+    (Lazy.force golden_sources);
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
+(* Numerals carry their kind and exact bits: [to_string] alone spells
+   [Int_tok 1] and [Float_tok 1.0] the same. *)
+let token_repr = function
+  | Cparse.Lex.Int_tok v -> "i" ^ string_of_int v
+  | Cparse.Lex.Float_tok v -> Printf.sprintf "f%h" v
+  | tok -> Cparse.Lex.to_string tok
+
+let test_lex_golden_digest () =
+  check_int "inputs" 31390 (List.length (Lazy.force golden_sources));
+  check_string "token digest" "c18e2abca55fb45cc8da6a5a04b105d2"
+    (golden_digest (fun b src ->
+         match Cparse.Lex.tokens src with
+         | toks ->
+           List.iter
+             (fun tok ->
+               Buffer.add_string b (token_repr tok);
+               Buffer.add_char b ' ')
+             toks
+         | exception Cparse.Lex.Error msg -> Buffer.add_string b ("E " ^ msg)))
+
+let test_parse_golden_digest () =
+  check_string "parse digest" "4a4007cfd7660e98ca2936f78018623f"
+    (golden_digest (fun b src ->
+         match Cparse.Parse.program src with
+         | Ok p ->
+           Buffer.add_string b
+             (match p.Ast.precision with Ast.F64 -> "f64\n" | Ast.F32 -> "f32\n");
+           Buffer.add_string b (Pp.to_c p)
+         | Error msg -> Buffer.add_string b ("E " ^ msg)))
+
 let () =
   Alcotest.run "parser"
     [
@@ -270,5 +355,10 @@ let () =
           QCheck_alcotest.to_alcotest qcheck_c_roundtrip;
           QCheck_alcotest.to_alcotest qcheck_cuda_roundtrip;
           QCheck_alcotest.to_alcotest qcheck_expr_roundtrip;
+        ] );
+      ( "golden",
+        [
+          Alcotest.test_case "lexer digest" `Quick test_lex_golden_digest;
+          Alcotest.test_case "parser digest" `Quick test_parse_golden_digest;
         ] );
     ]
