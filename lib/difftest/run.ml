@@ -38,7 +38,10 @@ let m_digits =
 let m_dedup_hits = Obs.Metrics.counter "exec.dedup.hits"
 let m_dedup_misses = Obs.Metrics.counter "exec.dedup.misses"
 
-let compare_outputs level (left : output) (right : output) =
+(* Each side comes with its value prepared for the digit metric, so an
+   output taking part in several comparisons is decomposed once. *)
+let compare_outputs level ((left : output), left_digits)
+    ((right : output), right_digits) =
   let inconsistent = left.hex <> right.hex in
   {
     level;
@@ -47,7 +50,9 @@ let compare_outputs level (left : output) (right : output) =
     inconsistent;
     class_left = Fp.Bits.classify left.value;
     class_right = Fp.Bits.classify right.value;
-    digits = (if inconsistent then Fp.Digits.diff_count left.value right.value else 0);
+    digits =
+      (if inconsistent then Fp.Digits.diff_count_prepared left_digits right_digits
+       else 0);
   }
 
 let test ?configs ?(jobs = 1) program inputs =
@@ -164,7 +169,7 @@ let test ?configs ?(jobs = 1) program inputs =
     (fun o ->
       Hashtbl.replace by_config
         (o.config.Compiler.Config.personality, o.config.Compiler.Config.level)
-        o)
+        (o, Fp.Digits.prepare o.value))
     outputs;
   let find personality level = Hashtbl.find_opt by_config (personality, level) in
   let cross, within =

@@ -7,8 +7,7 @@ type table = {
   grams : Multiset.t array;
 }
 
-let table ?weight tokens =
-  let toks = Array.of_list tokens in
+let table ?weight toks =
   { len = Array.length toks; grams = Multiset.windows ?weight max_order toks }
 
 type overlap = { plain : int array; weighted : int array }

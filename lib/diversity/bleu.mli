@@ -11,7 +11,7 @@ type table
 (** The n-gram multisets of one token sequence (orders 1..4), each n-gram
     carrying its count and its weight, reusable across many pairings. *)
 
-val table : ?weight:(string -> int) -> string list -> table
+val table : ?weight:(string -> int) -> string array -> table
 (** [weight] (default 1) gives each token's weight; an n-gram weighs as
     its heaviest token, and at least 1. *)
 

@@ -9,15 +9,19 @@ let type2c_key p = Pp.to_c (Ast.alpha_normalize p)
 (* Blind abstraction: identifiers, literals and numeric values all
    collapse; structure (operators, control flow, arities) remains. *)
 let type2_key p =
-  Cparse.Lex.tokens (Pp.compute_to_string p)
-  |> List.map (fun tok ->
-         match tok with
-         | Cparse.Lex.Ident name when not (Cparse.Lex.is_keyword name) -> "id"
-         | Cparse.Lex.Ident name -> name
-         | Cparse.Lex.Float_tok _ -> "lit"
-         | Cparse.Lex.Int_tok _ -> "ilit"
-         | other -> Cparse.Lex.to_string other)
-  |> String.concat " "
+  let b = Buffer.create 1024 in
+  Array.iteri
+    (fun i tok ->
+      if i > 0 then Buffer.add_char b ' ';
+      Buffer.add_string b
+        (match tok with
+        | Cparse.Lex.Ident name when not (Cparse.Lex.is_keyword name) -> "id"
+        | Cparse.Lex.Ident name -> name
+        | Cparse.Lex.Float_tok _ -> "lit"
+        | Cparse.Lex.Int_tok _ -> "ilit"
+        | other -> Cparse.Lex.to_string other))
+    (Cparse.Lex.tokens (Pp.compute_to_string p));
+  Buffer.contents b
 
 let analyze programs =
   let seen1 = Hashtbl.create 64

@@ -7,8 +7,8 @@ type summary = {
 let keyword_weight tok = if Cparse.Lex.is_keyword tok then 4 else 1
 
 let tokens_of (p : Lang.Ast.program) =
-  Cparse.Lex.tokens (Lang.Pp.compute_to_string p)
-  |> List.map Cparse.Lex.to_string
+  Array.map Cparse.Lex.to_string
+    (Cparse.Lex.tokens (Lang.Pp.compute_to_string p))
 
 let summarize p =
   let edges =

@@ -13,21 +13,22 @@ let decompose_result x =
     match String.index_opt s 'e' with
     | None -> Error (Malformed s)
     | Some epos -> (
-        let mantissa = String.sub s 0 epos in
         let exp_s = String.sub s (epos + 1) (String.length s - epos - 1) in
         match int_of_string_opt exp_s with
         | None -> Error (Malformed s)
         | Some exponent ->
-            let digits =
-              String.to_seq mantissa
-              |> Seq.filter (fun c -> c <> '.')
-              |> String.of_seq
-            in
-            if
-              String.length digits <> 16
-              || not (String.for_all (fun c -> c >= '0' && c <= '9') digits)
-            then Error (Malformed s)
-            else Ok (Float.sign_bit x, digits, if x = 0.0 then 0 else exponent))
+            (* The mantissa's characters up to 'e', less the point, must
+               be exactly 16 decimal digits. *)
+            let digits = Bytes.create 16 and k = ref 0 and ok = ref true in
+            for i = 0 to epos - 1 do
+              match s.[i] with
+              | '.' -> ()
+              | '0' .. '9' as c when !k < 16 -> Bytes.set digits !k c; incr k
+              | _ -> ok := false
+            done;
+            if not !ok || !k <> 16 then Error (Malformed s)
+            else Ok (Float.sign_bit x, Bytes.unsafe_to_string digits,
+                     if x = 0.0 then 0 else exponent))
 
 let decompose x =
   match decompose_result x with
@@ -38,20 +39,26 @@ let significand_digits x =
   let _, digits, _ = decompose x in
   digits
 
-let diff_count a b =
-  if Int64.bits_of_float a = Int64.bits_of_float b then 0
-  else if not (Float.is_finite a && Float.is_finite b) then 16
+type prepared = { value : float; parts : (bool * string * int) Lazy.t }
+
+let prepare x = { value = x; parts = lazy (decompose x) }
+
+let diff_count_prepared a b =
+  if Int64.bits_of_float a.value = Int64.bits_of_float b.value then 0
+  else if not (Float.is_finite a.value && Float.is_finite b.value) then 16
   else
-    let na, da, ea = decompose a in
-    let nb, db, eb = decompose b in
+    let na, da, ea = Lazy.force a.parts in
+    let nb, db, eb = Lazy.force b.parts in
     if na <> nb || ea <> eb then 16
     else begin
       let count = ref 0 in
-      String.iteri (fun i c -> if c <> db.[i] then incr count) da;
+      for i = 0 to 15 do if da.[i] <> db.[i] then incr count done;
       (* Bit patterns differ but all printed digits agree: the divergence
          is below 16 decimal digits; charge the minimum of one digit. *)
       if !count = 0 then 1 else !count
     end
+
+let diff_count a b = diff_count_prepared (prepare a) (prepare b)
 
 module Acc = struct
   type t = { n : int; min_ : int; max_ : int; sum : int }

@@ -35,6 +35,15 @@ val diff_count : float -> float -> int
 (** Number of differing digits among the 16, in [\[0, 16\]]. Bitwise-equal
     values give 0. *)
 
+type prepared
+(** One value ready for {!diff_count_prepared}: decomposed at most once,
+    on first need, however many comparisons it takes part in. *)
+
+val prepare : float -> prepared
+
+val diff_count_prepared : prepared -> prepared -> int
+(** [diff_count_prepared (prepare a) (prepare b) = diff_count a b]. *)
+
 (** Running min/max/mean accumulator for digit differences. *)
 module Acc : sig
   type t

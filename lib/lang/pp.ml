@@ -1,9 +1,15 @@
 let fp_type_name = function Ast.F32 -> "float" | Ast.F64 -> "double"
 
+(* [Printf.sprintf "%.17g"] hands a float to this runtime primitive with
+   the same format string; calling it directly skips the format
+   interpretation, about a third of a grown program's render. The
+   printing tests compare the two over a grid of floats. *)
+external format_float : string -> float -> string = "caml_format_float"
+
 let lit_to_string v =
   if not (Float.is_finite v) then
     invalid_arg "Pp.lit_to_string: non-finite literal";
-  let s = Printf.sprintf "%.17g" v in
+  let s = format_float "%.17g" v in
   let has_marker =
     String.exists (fun c -> c = '.' || c = 'e' || c = 'E') s
   in
@@ -16,7 +22,7 @@ let math_call_name precision fn =
 (* Precedence levels: additive 1, multiplicative 2, unary minus 3, atoms 4.
    Operands are parenthesized whenever a left-associative re-parse would
    rebuild a different tree, preserving FP evaluation order. *)
-let rec level = function
+let level = function
   | Ast.Lit v -> if v < 0.0 || (v = 0.0 && Float.sign_bit v) then 3 else 4
   | Ast.Int_lit n -> if n < 0 then 3 else 4
   | Ast.Var _ | Ast.Index _ | Ast.Call _ -> 4
@@ -24,181 +30,195 @@ let rec level = function
   | Ast.Bin ((Ast.Add | Ast.Sub), _, _) -> 1
   | Ast.Bin ((Ast.Mul | Ast.Div), _, _) -> 2
 
-and expr_to_string precision e =
-  let rec go min_level e =
-    let s =
-      match e with
-      | Ast.Lit v -> lit_to_string v
-      | Ast.Int_lit n -> string_of_int n
-      | Ast.Var name -> name
-      | Ast.Index (arr, idx) -> Printf.sprintf "%s[%s]" arr (go 0 idx)
-      | Ast.Neg inner ->
-        (* A numeral directly after '-' would re-parse as a negative
-           literal; parenthesize it to keep Neg in the tree. *)
-        let inner_s =
-          match inner with
-          | Ast.Lit _ | Ast.Int_lit _ -> "(" ^ go 0 inner ^ ")"
-          | _ -> go 4 inner
-        in
-        "-" ^ inner_s
-      | Ast.Bin (op, l, r) ->
-        let lv = level e in
-        Printf.sprintf "%s %s %s" (go lv l) (Ast.binop_symbol op) (go (lv + 1) r)
-      | Ast.Call (fn, args) ->
-        let rendered = List.map (go 0) args in
-        Printf.sprintf "%s(%s)" (math_call_name precision fn)
-          (String.concat ", " rendered)
-    in
-    if level e < min_level then "(" ^ s ^ ")" else s
-  in
-  go 0 e
+(* Every rendering appends to one Buffer; the functions returning
+   strings are thin wrappers over these writers. *)
+let put b parts = List.iter (Buffer.add_string b) parts
 
-let lvalue_to_string precision = function
-  | Ast.Lv_var name -> name
-  | Ast.Lv_index (arr, idx) ->
-    Printf.sprintf "%s[%s]" arr (expr_to_string precision idx)
+let rec add_expr b precision min_level e =
+  let parens = level e < min_level in
+  if parens then Buffer.add_char b '(';
+  (match e with
+  | Ast.Lit v -> Buffer.add_string b (lit_to_string v)
+  | Ast.Int_lit n -> Buffer.add_string b (string_of_int n)
+  | Ast.Var name -> Buffer.add_string b name
+  | Ast.Index (arr, idx) ->
+    put b [ arr; "[" ];
+    add_expr b precision 0 idx;
+    Buffer.add_char b ']'
+  | Ast.Neg inner -> begin
+    (* A numeral directly after '-' would re-parse as a negative
+       literal; parenthesize it to keep Neg in the tree. *)
+    Buffer.add_char b '-';
+    match inner with
+    | Ast.Lit _ | Ast.Int_lit _ ->
+      Buffer.add_char b '(';
+      add_expr b precision 0 inner;
+      Buffer.add_char b ')'
+    | _ -> add_expr b precision 4 inner
+  end
+  | Ast.Bin (op, l, r) ->
+    let lv = level e in
+    add_expr b precision lv l;
+    put b [ " "; Ast.binop_symbol op; " " ];
+    add_expr b precision (lv + 1) r
+  | Ast.Call (fn, args) ->
+    Buffer.add_string b (Ast.math_fn_name fn);
+    if precision = Ast.F32 then Buffer.add_char b 'f';
+    Buffer.add_char b '(';
+    List.iteri
+      (fun i arg ->
+        if i > 0 then Buffer.add_string b ", ";
+        add_expr b precision 0 arg)
+      args;
+    Buffer.add_char b ')');
+  if parens then Buffer.add_char b ')'
 
-let rec stmt_to_lines precision depth stmt =
-  let pad = String.make (2 * depth) ' ' in
+let expr_to_string precision e =
+  let b = Buffer.create 64 in
+  add_expr b precision 0 e;
+  Buffer.contents b
+
+let add_pad b depth =
+  for _ = 1 to depth do Buffer.add_string b "  " done
+
+(* One statement as complete lines, each ending in '\n'. *)
+let rec add_stmt b precision depth stmt =
+  add_pad b depth;
   match stmt with
   | Ast.Decl { name; init } ->
-    [ Printf.sprintf "%s%s %s = %s;" pad (fp_type_name precision) name
-        (expr_to_string precision init) ]
+    put b [ fp_type_name precision; " "; name; " = " ];
+    add_expr b precision 0 init;
+    Buffer.add_string b ";\n"
   | Ast.Assign { lhs; op; rhs } ->
-    [ Printf.sprintf "%s%s %s %s;" pad
-        (lvalue_to_string precision lhs)
-        (Ast.assign_op_symbol op)
-        (expr_to_string precision rhs) ]
+    add_expr b precision 0
+      (match lhs with
+      | Ast.Lv_var name -> Ast.Var name
+      | Ast.Lv_index (arr, idx) -> Ast.Index (arr, idx));
+    put b [ " "; Ast.assign_op_symbol op; " " ];
+    add_expr b precision 0 rhs;
+    Buffer.add_string b ";\n"
   | Ast.If { lhs; cmp; rhs; body } ->
-    (Printf.sprintf "%sif (%s %s %s) {" pad
-       (expr_to_string precision lhs)
-       (Ast.cmpop_symbol cmp)
-       (expr_to_string precision rhs))
-    :: body_lines precision (depth + 1) body
-    @ [ pad ^ "}" ]
+    Buffer.add_string b "if (";
+    add_expr b precision 0 lhs;
+    put b [ " "; Ast.cmpop_symbol cmp; " " ];
+    add_expr b precision 0 rhs;
+    Buffer.add_string b ") {\n";
+    add_block b precision depth body
   | Ast.For { var; bound; body } ->
-    (Printf.sprintf "%sfor (int %s = 0; %s < %d; ++%s) {" pad var var bound var)
-    :: body_lines precision (depth + 1) body
-    @ [ pad ^ "}" ]
+    put b
+      [ "for (int "; var; " = 0; "; var; " < "; string_of_int bound; "; ++";
+        var; ") {\n" ];
+    add_block b precision depth body
 
-and body_lines precision depth body =
-  List.concat_map (stmt_to_lines precision depth) body
+and add_block b precision depth body =
+  List.iter (add_stmt b precision (depth + 1)) body;
+  add_pad b depth;
+  Buffer.add_string b "}\n"
 
-let param_to_string precision = function
-  | Ast.P_int name -> "int " ^ name
-  | Ast.P_fp name -> fp_type_name precision ^ " " ^ name
-  | Ast.P_fp_array (name, _) -> fp_type_name precision ^ "* " ^ name
+let stmt_to_lines precision depth stmt =
+  let b = Buffer.create 128 in
+  add_stmt b precision depth stmt;
+  String.split_on_char '\n' (Buffer.sub b 0 (Buffer.length b - 1))
 
-let compute_signature ~cuda (p : Ast.program) =
-  let params =
-    p.params |> List.map (param_to_string p.precision) |> String.concat ", "
-  in
-  let qualifier = if cuda then "__global__ " else "" in
-  Printf.sprintf "%svoid compute(%s)" qualifier params
+let add_signature b ~cuda (p : Ast.program) =
+  let ty = fp_type_name p.precision in
+  Buffer.add_string b (if cuda then "__global__ void compute(" else "void compute(");
+  List.iteri
+    (fun i prm ->
+      if i > 0 then Buffer.add_string b ", ";
+      match prm with
+      | Ast.P_int name -> put b [ "int "; name ]
+      | Ast.P_fp name -> put b [ ty; " "; name ]
+      | Ast.P_fp_array (name, _) -> put b [ ty; "* "; name ])
+    p.params;
+  Buffer.add_char b ')'
+
+let compute_signature ~cuda p =
+  let b = Buffer.create 128 in
+  add_signature b ~cuda p;
+  Buffer.contents b
 
 let result_format = function Ast.F32 -> "%.9e" | Ast.F64 -> "%.17g"
 
-let compute_to_string ?(cuda = false) (p : Ast.program) =
-  let header = compute_signature ~cuda p ^ " {" in
-  let decl_comp =
-    Printf.sprintf "  %s %s = 0.0;" (fp_type_name p.precision) Ast.comp_name
-  in
-  let print_result =
-    Printf.sprintf "  printf(\"%s\\n\", %s);" (result_format p.precision)
-      Ast.comp_name
-  in
-  String.concat "\n"
-    ((header :: decl_comp :: body_lines p.precision 1 p.body)
-    @ [ print_result; "}" ])
+let add_compute b ~cuda (p : Ast.program) =
+  add_signature b ~cuda p;
+  put b [ " {\n  "; fp_type_name p.precision; " "; Ast.comp_name; " = 0.0;\n" ];
+  List.iter (add_stmt b p.precision 1) p.body;
+  put b [ "  printf(\""; result_format p.precision; "\\n\", "; Ast.comp_name; ");\n}" ]
+
+let compute_to_string ?(cuda = false) p =
+  let b = Buffer.create 1024 in
+  add_compute b ~cuda p;
+  Buffer.contents b
 
 let arg_order_doc =
   "argv convention: parameters are read left to right; an int parameter \
    consumes one argv entry (atoi), a scalar fp parameter one entry (atof), \
    and an fp array of length L consumes L consecutive entries."
 
-let includes = [ "#include <stdio.h>"; "#include <stdlib.h>"; "#include <math.h>" ]
-
-let main_reads (p : Ast.program) =
-  let buf = Buffer.create 256 in
+(* A whole translation unit: includes, [compute], and a [main] that reads
+   every parameter from argv and calls [compute] (on the device, through
+   managed copies of the arrays and a single-thread launch). *)
+let add_unit b ~cuda (p : Ast.program) =
+  let ty = fp_type_name p.precision in
+  Buffer.add_string b
+    "#include <stdio.h>\n#include <stdlib.h>\n#include <math.h>\n\n";
+  add_compute b ~cuda p;
+  Buffer.add_string b "\n\nint main(int argc, char* argv[]) {\n";
   let arg = ref 1 in
-  let call_args = ref [] in
   List.iter
     (fun prm ->
+      let first = string_of_int !arg in
       match prm with
       | Ast.P_int name ->
-        Buffer.add_string buf
-          (Printf.sprintf "  int %s = atoi(argv[%d]);\n" name !arg);
-        incr arg;
-        call_args := name :: !call_args
+        put b [ "  int "; name; " = atoi(argv["; first; "]);\n" ];
+        incr arg
       | Ast.P_fp name ->
-        Buffer.add_string buf
-          (Printf.sprintf "  %s %s = atof(argv[%d]);\n"
-             (fp_type_name p.precision) name !arg);
-        incr arg;
-        call_args := name :: !call_args
+        put b [ "  "; ty; " "; name; " = atof(argv["; first; "]);\n" ];
+        incr arg
       | Ast.P_fp_array (name, len) ->
-        Buffer.add_string buf
-          (Printf.sprintf "  %s %s[%d];\n" (fp_type_name p.precision) name len);
-        Buffer.add_string buf
-          (Printf.sprintf
-             "  for (int i_%s = 0; i_%s < %d; ++i_%s) { %s[i_%s] = \
-              atof(argv[%d + i_%s]); }\n"
-             name name len name name name !arg name);
-        arg := !arg + len;
-        call_args := name :: !call_args)
+        let len_s = string_of_int len in
+        put b
+          [ "  "; ty; " "; name; "["; len_s; "];\n  for (int i_"; name;
+            " = 0; i_"; name; " < "; len_s; "; ++i_"; name; ") { "; name;
+            "[i_"; name; "] = atof(argv["; first; " + i_"; name; "]); }\n" ];
+        arg := !arg + len)
     p.params;
-  (Buffer.contents buf, List.rev !call_args)
+  if cuda then begin
+    let copies = ref 0 in
+    List.iter
+      (function
+        | Ast.P_fp_array (name, len) ->
+          let len_s = string_of_int len in
+          incr copies;
+          put b
+            [ "  "; ty; "* d_"; name; ";\n  cudaMallocManaged(&d_"; name; ", ";
+              len_s; " * sizeof("; ty; "));\n  for (int i_"; name; " = 0; i_";
+              name; " < "; len_s; "; ++i_"; name; ") { d_"; name; "[i_"; name;
+              "] = "; name; "[i_"; name; "]; }\n" ]
+        | Ast.P_int _ | Ast.P_fp _ -> ())
+      p.params;
+    if !copies = 0 then Buffer.add_char b '\n'
+  end;
+  Buffer.add_string b (if cuda then "  compute<<<1, 1>>>(" else "  compute(");
+  List.iteri
+    (fun i prm ->
+      if i > 0 then Buffer.add_string b ", ";
+      match prm with
+      | Ast.P_fp_array (name, _) when cuda -> put b [ "d_"; name ]
+      | Ast.P_int name | Ast.P_fp name | Ast.P_fp_array (name, _) ->
+        Buffer.add_string b name)
+    p.params;
+  Buffer.add_string b
+    (if cuda then ");\n  cudaDeviceSynchronize();\n  return 0;\n}\n"
+     else ");\n  return 0;\n}\n")
 
-let to_c (p : Ast.program) =
-  let reads, call_args = main_reads p in
-  String.concat "\n"
-    (includes
-    @ [ "";
-        compute_to_string ~cuda:false p;
-        "";
-        "int main(int argc, char* argv[]) {";
-        reads
-        ^ Printf.sprintf "  compute(%s);" (String.concat ", " call_args);
-        "  return 0;";
-        "}";
-        "" ])
+let to_c p =
+  let b = Buffer.create 2048 in
+  add_unit b ~cuda:false p;
+  Buffer.contents b
 
-let to_cuda (p : Ast.program) =
-  let reads, call_args = main_reads p in
-  let array_copies =
-    p.params
-    |> List.filter_map (function
-         | Ast.P_fp_array (name, len) ->
-           Some
-             (Printf.sprintf
-                "  %s* d_%s;\n\
-                 \  cudaMallocManaged(&d_%s, %d * sizeof(%s));\n\
-                 \  for (int i_%s = 0; i_%s < %d; ++i_%s) { d_%s[i_%s] = \
-                 %s[i_%s]; }"
-                (fp_type_name p.precision) name name len
-                (fp_type_name p.precision) name name len name name name name
-                name)
-         | Ast.P_int _ | Ast.P_fp _ -> None)
-    |> String.concat "\n"
-  in
-  let kernel_args =
-    List.map
-      (fun prm ->
-        match prm with
-        | Ast.P_fp_array (name, _) -> "d_" ^ name
-        | Ast.P_int name | Ast.P_fp name -> name)
-      p.params
-  in
-  ignore call_args;
-  String.concat "\n"
-    (includes
-    @ [ "";
-        compute_to_string ~cuda:true p;
-        "";
-        "int main(int argc, char* argv[]) {";
-        reads ^ array_copies;
-        Printf.sprintf "  compute<<<1, 1>>>(%s);" (String.concat ", " kernel_args);
-        "  cudaDeviceSynchronize();";
-        "  return 0;";
-        "}";
-        "" ])
+let to_cuda p =
+  let b = Buffer.create 2048 in
+  add_unit b ~cuda:true p;
+  Buffer.contents b

@@ -75,8 +75,13 @@ let render = function
       (bullet mutation_strategy_names)
       (Lang.Pp.compute_to_string example)
 
+(* Words are maximal runs of characters other than ' ' and '\n',
+   counted in one pass. *)
 let token_count s =
-  String.split_on_char ' ' s
-  |> List.concat_map (String.split_on_char '\n')
-  |> List.filter (fun w -> w <> "")
-  |> List.length
+  let words = ref 0 and in_word = ref false in
+  for i = 0 to String.length s - 1 do
+    match String.unsafe_get s i with
+    | ' ' | '\n' -> in_word := false
+    | _ -> if not !in_word then (in_word := true; incr words)
+  done;
+  !words

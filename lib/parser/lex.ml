@@ -25,9 +25,23 @@ let tokens src =
   let n = String.length src in
   let line = ref 1 in
   let fail msg = raise (Error (Printf.sprintf "line %d: %s" !line msg)) in
-  let out = ref [] in
-  let emit tok = out := tok :: !out in
-  let peek i = if i < n then Some src.[i] else None in
+  (* A growable array of chunks small enough for the minor heap, so no
+     store pays the major heap's write barrier; the result is allocated
+     once, at its final size. *)
+  let chunk_size = 256 in
+  let full = ref [] and chunk = ref (Array.make chunk_size Semi) in
+  let used = ref 0 in
+  let emit tok =
+    if !used = chunk_size then begin
+      full := !chunk :: !full;
+      chunk := Array.make chunk_size Semi;
+      used := 0
+    end;
+    Array.unsafe_set !chunk !used tok;
+    incr used
+  in
+  (* The character at [i], or NUL past the end (no rule starts with it). *)
+  let at i = if i < n then String.unsafe_get src i else '\000' in
   let rec skip_line i =
     if i >= n then i
     else if src.[i] = '\n' then begin incr line; i + 1 end
@@ -41,43 +55,38 @@ let tokens src =
       skip_block (i + 1)
     end
   in
+  let rec digits j = if j < n && is_digit src.[j] then digits (j + 1) else j in
+  (* Emits one numeral and returns the index after it. *)
   let lex_number i =
-    let j = ref i in
-    let is_float = ref false in
-    while !j < n && is_digit src.[!j] do incr j done;
-    if !j < n && src.[!j] = '.' then begin
-      is_float := true;
-      incr j;
-      while !j < n && is_digit src.[!j] do incr j done
-    end;
-    if !j < n && (src.[!j] = 'e' || src.[!j] = 'E') then begin
-      let k = !j + 1 in
-      let k = match peek k with Some ('+' | '-') -> k + 1 | _ -> k in
-      if k < n && is_digit src.[k] then begin
-        is_float := true;
-        j := k;
-        while !j < n && is_digit src.[!j] do incr j done
-      end
-    end;
-    let text = String.sub src i (!j - i) in
-    (* Consume an optional float suffix. *)
-    let j = match peek !j with Some ('f' | 'F') -> is_float := true; !j + 1 | _ -> !j in
-    let tok =
-      if !is_float then Float_tok (float_of_string text)
-      else
-        match int_of_string_opt text with
-        | Some v -> Int_tok v
-        | None -> Float_tok (float_of_string text)
+    let j = digits i in
+    let is_float = j < n && src.[j] = '.' in
+    let j = if is_float then digits (j + 1) else j in
+    let j, is_float =
+      if at j = 'e' || at j = 'E' then
+        let k = if at (j + 1) = '+' || at (j + 1) = '-' then j + 2 else j + 1 in
+        if is_digit (at k) then (digits k, true) else (j, is_float)
+      else (j, is_float)
     in
-    (tok, j)
+    let text = String.sub src i (j - i) in
+    (* Consume an optional float suffix. *)
+    let suffix = at j = 'f' || at j = 'F' in
+    emit
+      (if is_float || suffix then Float_tok (float_of_string text)
+       else
+         match int_of_string_opt text with
+         | Some v -> Int_tok v
+         | None -> Float_tok (float_of_string text));
+    if suffix then j + 1 else j
   in
+  (* Emits one string literal (opening quote at [i - 1]) and returns the
+     index after its closing quote. *)
   let lex_string i =
     let buf = Buffer.create 16 in
     let rec go i =
       if i >= n then fail "unterminated string literal"
       else
         match src.[i] with
-        | '"' -> (String_lit (Buffer.contents buf), i + 1)
+        | '"' -> emit (String_lit (Buffer.contents buf)); i + 1
         | '\\' when i + 1 < n ->
           Buffer.add_char buf '\\';
           Buffer.add_char buf src.[i + 1];
@@ -88,59 +97,54 @@ let tokens src =
     in
     go i
   in
+  let one tok i = emit tok; i + 1 and two tok i = emit tok; i + 2 in
   let rec go i =
-    if i >= n then ()
-    else
-      match src.[i] with
-      | ' ' | '\t' | '\r' -> go (i + 1)
-      | '\n' -> incr line; go (i + 1)
-      | '#' -> go (skip_line (i + 1))
-      | '/' when peek (i + 1) = Some '/' -> go (skip_line (i + 2))
-      | '/' when peek (i + 1) = Some '*' -> go (skip_block (i + 2))
-      | '/' when peek (i + 1) = Some '=' -> emit Slash_eq; go (i + 2)
-      | '/' -> emit Slash; go (i + 1)
-      | '+' when peek (i + 1) = Some '+' -> emit Plus_plus; go (i + 2)
-      | '+' when peek (i + 1) = Some '=' -> emit Plus_eq; go (i + 2)
-      | '+' -> emit Plus; go (i + 1)
-      | '-' when peek (i + 1) = Some '=' -> emit Minus_eq; go (i + 2)
-      | '-' -> emit Minus; go (i + 1)
-      | '*' when peek (i + 1) = Some '=' -> emit Star_eq; go (i + 2)
-      | '*' -> emit Star; go (i + 1)
-      | '(' -> emit Lparen; go (i + 1)
-      | ')' -> emit Rparen; go (i + 1)
-      | '{' -> emit Lbrace; go (i + 1)
-      | '}' -> emit Rbrace; go (i + 1)
-      | '[' -> emit Lbracket; go (i + 1)
-      | ']' -> emit Rbracket; go (i + 1)
-      | ',' -> emit Comma; go (i + 1)
-      | ';' -> emit Semi; go (i + 1)
-      | '&' -> emit Amp; go (i + 1)
-      | '"' ->
-        let tok, j = lex_string (i + 1) in
-        emit tok;
-        go j
-      | '<' when peek (i + 1) = Some '<' -> emit Lshift; go (i + 2)
-      | '<' when peek (i + 1) = Some '=' -> emit Le; go (i + 2)
-      | '<' -> emit Lt; go (i + 1)
-      | '>' when peek (i + 1) = Some '>' -> emit Rshift; go (i + 2)
-      | '>' when peek (i + 1) = Some '=' -> emit Ge; go (i + 2)
-      | '>' -> emit Gt; go (i + 1)
-      | '=' when peek (i + 1) = Some '=' -> emit Eq_eq; go (i + 2)
-      | '=' -> emit Assign; go (i + 1)
-      | '!' when peek (i + 1) = Some '=' -> emit Ne; go (i + 2)
-      | c when is_digit c || (c = '.' && (match peek (i + 1) with Some d -> is_digit d | None -> false)) ->
-        let tok, j = lex_number i in
-        emit tok;
-        go j
-      | c when is_ident_start c ->
-        let j = ref i in
-        while !j < n && is_ident_char src.[!j] do incr j done;
-        emit (Ident (String.sub src i (!j - i)));
-        go !j
-      | c -> fail (Printf.sprintf "unexpected character %C" c)
+    if i < n then
+      go
+        (match src.[i] with
+         | ' ' | '\t' | '\r' -> i + 1
+         | '\n' -> incr line; i + 1
+         | '#' -> skip_line (i + 1)
+         | '/' when at (i + 1) = '/' -> skip_line (i + 2)
+         | '/' when at (i + 1) = '*' -> skip_block (i + 2)
+         | '/' when at (i + 1) = '=' -> two Slash_eq i
+         | '/' -> one Slash i
+         | '+' when at (i + 1) = '+' -> two Plus_plus i
+         | '+' when at (i + 1) = '=' -> two Plus_eq i
+         | '+' -> one Plus i
+         | '-' when at (i + 1) = '=' -> two Minus_eq i
+         | '-' -> one Minus i
+         | '*' when at (i + 1) = '=' -> two Star_eq i
+         | '*' -> one Star i
+         | '(' -> one Lparen i
+         | ')' -> one Rparen i
+         | '{' -> one Lbrace i
+         | '}' -> one Rbrace i
+         | '[' -> one Lbracket i
+         | ']' -> one Rbracket i
+         | ',' -> one Comma i
+         | ';' -> one Semi i
+         | '&' -> one Amp i
+         | '"' -> lex_string (i + 1)
+         | '<' when at (i + 1) = '<' -> two Lshift i
+         | '<' when at (i + 1) = '=' -> two Le i
+         | '<' -> one Lt i
+         | '>' when at (i + 1) = '>' -> two Rshift i
+         | '>' when at (i + 1) = '=' -> two Ge i
+         | '>' -> one Gt i
+         | '=' when at (i + 1) = '=' -> two Eq_eq i
+         | '=' -> one Assign i
+         | '!' when at (i + 1) = '=' -> two Ne i
+         | c when is_digit c || (c = '.' && is_digit (at (i + 1))) -> lex_number i
+         | c when is_ident_start c ->
+           let j = ref i in
+           while !j < n && is_ident_char src.[!j] do incr j done;
+           emit (Ident (String.sub src i (!j - i)));
+           !j
+         | c -> fail (Printf.sprintf "unexpected character %C" c))
   in
   go 0;
-  List.rev !out
+  Array.concat (List.rev (Array.sub !chunk 0 !used :: !full))
 
 let keywords =
   [ "void"; "int"; "float"; "double"; "for"; "if"; "else"; "while"; "return";

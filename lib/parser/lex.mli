@@ -26,8 +26,8 @@ type token =
 exception Error of string
 (** Raised on an unrecognized character, with a line-numbered message. *)
 
-val tokens : string -> token list
-(** Tokenize a whole source text. Raises {!Error}. *)
+val tokens : string -> token array
+(** Tokenize a whole source text, in one pass. Raises {!Error}. *)
 
 val to_string : token -> string
 (** Canonical spelling of one token (string literals are re-quoted). *)

@@ -21,20 +21,29 @@ let fail st msg =
   in
   raise (Error (Printf.sprintf "%s (near: %s)" msg context))
 
-let peek st = if st.pos < Array.length st.toks then Some st.toks.(st.pos) else None
+(* Past the last token the peeks answer [Amp], which no rule of the
+   grammar matches, so each rule's fallback reports the error without an
+   option per peek; the two rules that name the end check [at_end]. *)
+let peek st =
+  if st.pos < Array.length st.toks then Array.unsafe_get st.toks st.pos
+  else Lex.Amp
+
 let peek2 st =
-  if st.pos + 1 < Array.length st.toks then Some st.toks.(st.pos + 1) else None
+  if st.pos + 1 < Array.length st.toks then
+    Array.unsafe_get st.toks (st.pos + 1)
+  else Lex.Amp
+
+let at_end st = st.pos >= Array.length st.toks
 
 let advance st = st.pos <- st.pos + 1
 
 let expect st tok what =
-  match peek st with
-  | Some t when t = tok -> advance st
-  | _ -> fail st (Printf.sprintf "expected %s" what)
+  if peek st = tok then advance st
+  else fail st (Printf.sprintf "expected %s" what)
 
 let expect_ident st =
   match peek st with
-  | Some (Lex.Ident name) -> advance st; name
+  | Lex.Ident name -> advance st; name
   | _ -> fail st "expected identifier"
 
 let is_fp_type = function "float" | "double" -> true | _ -> false
@@ -56,61 +65,57 @@ let lookup_math_fn name =
   | Some fn -> Some fn
   | None -> Ast.math_fn_of_name (strip_f_suffix name)
 
-let rec parse_expr st = parse_additive st
+let rec parse_expr st = additive_tail st (parse_multiplicative st)
 
-and parse_additive st =
-  let rec loop acc =
-    match peek st with
-    | Some Lex.Plus ->
-      advance st;
-      loop (Ast.Bin (Ast.Add, acc, parse_multiplicative st))
-    | Some Lex.Minus ->
-      advance st;
-      loop (Ast.Bin (Ast.Sub, acc, parse_multiplicative st))
-    | _ -> acc
-  in
-  loop (parse_multiplicative st)
+and additive_tail st acc =
+  match peek st with
+  | Lex.Plus ->
+    advance st;
+    additive_tail st (Ast.Bin (Ast.Add, acc, parse_multiplicative st))
+  | Lex.Minus ->
+    advance st;
+    additive_tail st (Ast.Bin (Ast.Sub, acc, parse_multiplicative st))
+  | _ -> acc
 
-and parse_multiplicative st =
-  let rec loop acc =
-    match peek st with
-    | Some Lex.Star ->
-      advance st;
-      loop (Ast.Bin (Ast.Mul, acc, parse_unary st))
-    | Some Lex.Slash ->
-      advance st;
-      loop (Ast.Bin (Ast.Div, acc, parse_unary st))
-    | _ -> acc
-  in
-  loop (parse_unary st)
+and parse_multiplicative st = multiplicative_tail st (parse_unary st)
+
+and multiplicative_tail st acc =
+  match peek st with
+  | Lex.Star ->
+    advance st;
+    multiplicative_tail st (Ast.Bin (Ast.Mul, acc, parse_unary st))
+  | Lex.Slash ->
+    advance st;
+    multiplicative_tail st (Ast.Bin (Ast.Div, acc, parse_unary st))
+  | _ -> acc
 
 and parse_unary st =
   match peek st with
-  | Some Lex.Minus -> begin
+  | Lex.Minus -> begin
     advance st;
     (* A numeral directly after '-' folds into a negative literal; anything
        else keeps an explicit Neg node (see Pp for the inverse). *)
     match peek st with
-    | Some (Lex.Float_tok v) -> advance st; Ast.Lit (-.v)
-    | Some (Lex.Int_tok v) -> advance st; Ast.Int_lit (-v)
+    | Lex.Float_tok v -> advance st; Ast.Lit (-.v)
+    | Lex.Int_tok v -> advance st; Ast.Int_lit (-v)
     | _ -> Ast.Neg (parse_unary st)
   end
-  | Some Lex.Plus -> advance st; parse_unary st
+  | Lex.Plus -> advance st; parse_unary st
   | _ -> parse_primary st
 
 and parse_primary st =
   match peek st with
-  | Some (Lex.Float_tok v) -> advance st; Ast.Lit v
-  | Some (Lex.Int_tok v) -> advance st; Ast.Int_lit v
-  | Some Lex.Lparen ->
+  | Lex.Float_tok v -> advance st; Ast.Lit v
+  | Lex.Int_tok v -> advance st; Ast.Int_lit v
+  | Lex.Lparen ->
     advance st;
     let e = parse_expr st in
     expect st Lex.Rparen "')'";
     e
-  | Some (Lex.Ident name) -> begin
+  | Lex.Ident name -> begin
     advance st;
     match peek st with
-    | Some Lex.Lparen -> begin
+    | Lex.Lparen -> begin
       match lookup_math_fn name with
       | None -> fail st (Printf.sprintf "unknown function %s" name)
       | Some fn ->
@@ -118,8 +123,8 @@ and parse_primary st =
         let rec args acc =
           let e = parse_expr st in
           match peek st with
-          | Some Lex.Comma -> advance st; args (e :: acc)
-          | Some Lex.Rparen -> advance st; List.rev (e :: acc)
+          | Lex.Comma -> advance st; args (e :: acc)
+          | Lex.Rparen -> advance st; List.rev (e :: acc)
           | _ -> fail st "expected ',' or ')' in call"
         in
         let actual = args [] in
@@ -128,7 +133,7 @@ and parse_primary st =
                      (Ast.math_fn_arity fn));
         Ast.Call (fn, actual)
     end
-    | Some Lex.Lbracket ->
+    | Lex.Lbracket ->
       advance st;
       let idx = parse_expr st in
       expect st Lex.Rbracket "']'";
@@ -139,12 +144,12 @@ and parse_primary st =
 
 let parse_cmpop st =
   match peek st with
-  | Some Lex.Lt -> advance st; Ast.Lt
-  | Some Lex.Le -> advance st; Ast.Le
-  | Some Lex.Gt -> advance st; Ast.Gt
-  | Some Lex.Ge -> advance st; Ast.Ge
-  | Some Lex.Eq_eq -> advance st; Ast.Eq
-  | Some Lex.Ne -> advance st; Ast.Ne
+  | Lex.Lt -> advance st; Ast.Lt
+  | Lex.Le -> advance st; Ast.Le
+  | Lex.Gt -> advance st; Ast.Gt
+  | Lex.Ge -> advance st; Ast.Ge
+  | Lex.Eq_eq -> advance st; Ast.Eq
+  | Lex.Ne -> advance st; Ast.Ne
   | _ -> fail st "expected comparison operator"
 
 (* --------------------------------------------------------------- *)
@@ -152,30 +157,31 @@ let parse_cmpop st =
 
 let parse_assign_op st =
   match peek st with
-  | Some Lex.Assign -> advance st; Ast.Set
-  | Some Lex.Plus_eq -> advance st; Ast.Add_eq
-  | Some Lex.Minus_eq -> advance st; Ast.Sub_eq
-  | Some Lex.Star_eq -> advance st; Ast.Mul_eq
-  | Some Lex.Slash_eq -> advance st; Ast.Div_eq
+  | Lex.Assign -> advance st; Ast.Set
+  | Lex.Plus_eq -> advance st; Ast.Add_eq
+  | Lex.Minus_eq -> advance st; Ast.Sub_eq
+  | Lex.Star_eq -> advance st; Ast.Mul_eq
+  | Lex.Slash_eq -> advance st; Ast.Div_eq
   | _ -> fail st "expected assignment operator"
 
 let rec parse_block st =
   expect st Lex.Lbrace "'{'";
   let rec loop acc =
-    match peek st with
-    | Some Lex.Rbrace -> advance st; List.rev acc
-    | Some _ -> begin
-      match parse_stmt st with
-      | Some s -> loop (s :: acc)
-      | None -> loop acc
-    end
-    | None -> fail st "unterminated block"
+    if at_end st then fail st "unterminated block"
+    else
+      match peek st with
+      | Lex.Rbrace -> advance st; List.rev acc
+      | _ -> begin
+        match parse_stmt st with
+        | Some s -> loop (s :: acc)
+        | None -> loop acc
+      end
   in
   loop []
 
 and parse_stmt st : Ast.stmt option =
   match peek st with
-  | Some (Lex.Ident ty) when is_fp_type ty -> begin
+  | Lex.Ident ty when is_fp_type ty -> begin
     advance st;
     let name = expect_ident st in
     expect st Lex.Assign "'=' in declaration";
@@ -188,17 +194,18 @@ and parse_stmt st : Ast.stmt option =
       else Some (Ast.Assign { lhs = Ast.Lv_var name; op = Ast.Set; rhs = init })
     else Some (Ast.Decl { name; init })
   end
-  | Some (Lex.Ident "printf") ->
+  | Lex.Ident "printf" ->
     (* Result printing is part of the fixed scaffold, not of the body. *)
     let rec skip () =
-      match peek st with
-      | Some Lex.Semi -> advance st
-      | Some _ -> advance st; skip ()
-      | None -> fail st "unterminated printf"
+      if at_end st then fail st "unterminated printf"
+      else
+        match peek st with
+        | Lex.Semi -> advance st
+        | _ -> advance st; skip ()
     in
     skip ();
     None
-  | Some (Lex.Ident "if") ->
+  | Lex.Ident "if" ->
     advance st;
     expect st Lex.Lparen "'(' after if";
     let lhs = parse_expr st in
@@ -206,9 +213,11 @@ and parse_stmt st : Ast.stmt option =
     let rhs = parse_expr st in
     expect st Lex.Rparen "')' after condition";
     let body = parse_block st in
-    if peek st = Some (Lex.Ident "else") then fail st "else blocks are not in the grammar";
+    (match peek st with
+     | Lex.Ident "else" -> fail st "else blocks are not in the grammar"
+     | _ -> ());
     Some (Ast.If { lhs; cmp; rhs; body })
-  | Some (Lex.Ident "for") ->
+  | Lex.Ident "for" ->
     advance st;
     expect st Lex.Lparen "'(' after for";
     expect st (Lex.Ident "int") "'int' in loop header";
@@ -221,23 +230,23 @@ and parse_stmt st : Ast.stmt option =
     expect st Lex.Lt "'<' in loop condition";
     let bound =
       match peek st with
-      | Some (Lex.Int_tok b) -> advance st; b
+      | Lex.Int_tok b -> advance st; b
       | _ -> fail st "loop bound must be an integer literal"
     in
     expect st Lex.Semi "';' after loop condition";
     (match (peek st, peek2 st) with
-     | Some Lex.Plus_plus, Some (Lex.Ident v) when v = var ->
+     | Lex.Plus_plus, Lex.Ident v when v = var ->
        advance st; advance st
-     | Some (Lex.Ident v), Some Lex.Plus_plus when v = var ->
+     | Lex.Ident v, Lex.Plus_plus when v = var ->
        advance st; advance st
      | _ -> fail st "loop increment must be ++counter");
     expect st Lex.Rparen "')' after loop header";
     let body = parse_block st in
     Some (Ast.For { var; bound; body })
-  | Some (Lex.Ident name) -> begin
+  | Lex.Ident name -> begin
     advance st;
     match peek st with
-    | Some Lex.Lbracket ->
+    | Lex.Lbracket ->
       advance st;
       let idx = parse_expr st in
       expect st Lex.Rbracket "']'";
@@ -258,9 +267,8 @@ and parse_stmt st : Ast.stmt option =
 
 (* Array parameter lengths live in main's declarations (`double a[8];`);
    recover them with a pre-scan so signatures can be reconstructed. *)
-let scan_array_lens toks =
+let scan_array_lens arr =
   let tbl = Hashtbl.create 8 in
-  let arr = Array.of_list toks in
   let n = Array.length arr in
   for i = 0 to n - 5 do
     match (arr.(i), arr.(i + 1), arr.(i + 2), arr.(i + 3), arr.(i + 4)) with
@@ -274,19 +282,19 @@ let scan_array_lens toks =
 
 let parse_params st =
   expect st Lex.Lparen "'(' after compute";
-  if peek st = Some Lex.Rparen then begin advance st; [] end
+  if peek st = Lex.Rparen then begin advance st; [] end
   else
     let rec loop acc =
       let param =
         match peek st with
-        | Some (Lex.Ident "int") ->
+        | Lex.Ident "int" ->
           advance st;
           Ast.P_int (expect_ident st)
-        | Some (Lex.Ident ty) when is_fp_type ty -> begin
+        | Lex.Ident ty when is_fp_type ty -> begin
           st.precision <- fp_precision ty;
           advance st;
           match peek st with
-          | Some Lex.Star ->
+          | Lex.Star ->
             advance st;
             let name = expect_ident st in
             let len =
@@ -300,8 +308,8 @@ let parse_params st =
         | _ -> fail st "expected parameter declaration"
       in
       match peek st with
-      | Some Lex.Comma -> advance st; loop (param :: acc)
-      | Some Lex.Rparen -> advance st; List.rev (param :: acc)
+      | Lex.Comma -> advance st; loop (param :: acc)
+      | Lex.Rparen -> advance st; List.rev (param :: acc)
       | _ -> fail st "expected ',' or ')' in parameter list"
     in
     loop []
@@ -325,7 +333,7 @@ let program ?(default_array_len = 8) src =
   match
     let toks = Lex.tokens src in
     let st =
-      { toks = Array.of_list toks;
+      { toks;
         pos = 0;
         precision = Ast.F64;
         array_lens = scan_array_lens toks;
@@ -347,9 +355,8 @@ let program_exn ?default_array_len src =
 
 let expr src =
   match
-    let toks = Lex.tokens src in
     let st =
-      { toks = Array.of_list toks;
+      { toks = Lex.tokens src;
         pos = 0;
         precision = Ast.F64;
         array_lens = Hashtbl.create 1;

@@ -43,23 +43,23 @@ let arbitrary_program =
 (* Bleu *)
 
 let tokens p =
-  Cparse.Lex.tokens (Lang.Pp.compute_to_string p)
-  |> List.map Cparse.Lex.to_string
+  Array.map Cparse.Lex.to_string
+    (Cparse.Lex.tokens (Lang.Pp.compute_to_string p))
 
 let test_bleu_identical () =
   let t = Diversity.Bleu.table (tokens p1) in
   check_float ~eps:1e-9 "self = 1" 1.0 (Diversity.Bleu.score ~candidate:t ~reference:t)
 
 let test_bleu_disjoint_low () =
-  let a = Diversity.Bleu.table [ "a"; "b"; "c"; "d"; "e"; "f" ] in
-  let b = Diversity.Bleu.table [ "u"; "v"; "w"; "x"; "y"; "z" ] in
+  let a = Diversity.Bleu.table [| "a"; "b"; "c"; "d"; "e"; "f" |] in
+  let b = Diversity.Bleu.table [| "u"; "v"; "w"; "x"; "y"; "z" |] in
   check_bool "near zero" true (Diversity.Bleu.score ~candidate:a ~reference:b < 0.01)
 
 let test_bleu_brevity_penalty () =
   (* a perfectly matching prefix still scores below 1 when the candidate
      is shorter than the reference *)
-  let reference = Diversity.Bleu.table [ "a"; "b"; "c"; "d"; "e"; "f" ] in
-  let prefix = Diversity.Bleu.table [ "a"; "b"; "c" ] in
+  let reference = Diversity.Bleu.table [| "a"; "b"; "c"; "d"; "e"; "f" |] in
+  let prefix = Diversity.Bleu.table [| "a"; "b"; "c" |] in
   let s = Diversity.Bleu.score ~candidate:prefix ~reference in
   check_bool "penalized" true (s < 0.5);
   check_bool "not zero" true (s > 0.0)
@@ -191,8 +191,8 @@ let test_hash_collision () =
   check_bool "distinct tokens" true (a <> b);
   check_int "equal hashes" (Hashtbl.hash a) (Hashtbl.hash b);
   let score c r =
-    Diversity.Bleu.score ~candidate:(Diversity.Bleu.table c)
-      ~reference:(Diversity.Bleu.table r)
+    Diversity.Bleu.score ~candidate:(Diversity.Bleu.table (Array.of_list c))
+      ~reference:(Diversity.Bleu.table (Array.of_list r))
   in
   (* BLEU from the unigram and bigram precisions of a two-token
      candidate; orders 3 and 4 have no n-grams and count as 1 *)

@@ -141,6 +141,36 @@ let test_lit_to_string () =
     (Invalid_argument "Pp.lit_to_string: non-finite literal") (fun () ->
       ignore (Pp.lit_to_string Float.nan))
 
+(* Pp formats literals through the runtime primitive that
+   [Printf.sprintf "%.17g"] calls; both spellings, the ".0" rule
+   included, must agree on every float of a grid: signed zeros,
+   subnormals, every power of ten, the extremes, integral values that
+   need the suffix, and pseudo-random bit patterns. *)
+let test_lit_matches_printf () =
+  let reference v =
+    let s = Printf.sprintf "%.17g" v in
+    if String.exists (fun c -> c = '.' || c = 'e' || c = 'E') s then s
+    else s ^ ".0"
+  in
+  let state = Random.State.make [| 17 |] in
+  let grid =
+    [ 0.0; 5e-324; 1e-310; 2.2250738585072009e-308; 2.2250738585072014e-308;
+      1e-300; 1e300; Float.max_float; 0.1; 1.0 /. 3.0; Float.pi; 0.5;
+      4503599627370496.0; 9007199254740993.0; 1e15; 1e16; 1e17; 1e21; 1e22 ]
+    @ List.init 647 (fun i -> 10.0 ** float_of_int (i - 323))
+    @ List.init 200 float_of_int
+    @ List.init 2000 (fun _ -> Int64.float_of_bits (Random.State.bits64 state))
+  in
+  List.iter
+    (fun v ->
+      List.iter
+        (fun x ->
+          if Float.is_finite x then
+            check_string (Printf.sprintf "%h" x) (reference x)
+              (Pp.lit_to_string x))
+        [ v; -.v ])
+    grid
+
 let qcheck_lit_roundtrip =
   QCheck.Test.make ~name:"literal text parses back to same double" ~count:1000
     QCheck.(map (fun (m, e) -> ldexp m (e mod 900))
@@ -267,6 +297,7 @@ let () =
       ( "printing",
         [
           Alcotest.test_case "literals" `Quick test_lit_to_string;
+          Alcotest.test_case "literals match %.17g" `Quick test_lit_matches_printf;
           QCheck_alcotest.to_alcotest qcheck_lit_roundtrip;
           Alcotest.test_case "precedence" `Quick test_expr_precedence_printing;
           Alcotest.test_case "negation" `Quick test_neg_printing;
