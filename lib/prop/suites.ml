@@ -131,14 +131,30 @@ let contract_idempotent =
 (* ------------------------------------------------------------------ *)
 (* Codec fixpoints *)
 
+(* Half the cases print in single precision, where math calls take the
+   'f'-suffixed names and the parser infers the precision. *)
+let program_either_precision =
+  {
+    Arb.program with
+    Engine.gen =
+      (fun rng ->
+        let p = Gen.Varity.generate rng in
+        if Util.Rng.bool rng then { p with Lang.Ast.precision = Lang.Ast.F32 }
+        else p);
+  }
+
 let pp_parse_fixpoint =
   make_suite "pp-parse-fixpoint"
-    "print -> parse -> print is a fixpoint on the C rendering" Arb.program
+    "print -> parse -> print is a fixpoint on the C rendering at either \
+     precision, and the CUDA rendering parses to the same program"
+    program_either_precision
     (fun p ->
       let printed = Lang.Pp.to_c p in
-      match Cparse.Parse.program printed with
-      | Error _ -> false
-      | Ok p' -> Lang.Pp.to_c p' = printed)
+      match
+        (Cparse.Parse.program printed, Cparse.Parse.program (Lang.Pp.to_cuda p))
+      with
+      | Ok p', Ok device -> Lang.Pp.to_c p' = printed && Lang.Ast.equal p' device
+      | _ -> false)
 
 let gen_archive_case rng =
   let p, inputs = Gen.Varity.gen_case rng in
@@ -272,8 +288,8 @@ let eft_two_prod =
 (* Diversity metrics *)
 
 let tokens p =
-  Cparse.Lex.tokens (Lang.Pp.compute_to_string p)
-  |> List.map Cparse.Lex.to_string
+  Array.map Cparse.Lex.to_string
+    (Cparse.Lex.tokens (Lang.Pp.compute_to_string p))
 
 let program_pair =
   Engine.make
