@@ -283,23 +283,25 @@ type flaw = Unknown_function | Uninitialized_variable | Undefined_call
 
 let flaws = [| Unknown_function; Uninitialized_variable; Undefined_call |]
 
-let comp_decl = "double comp = 0.0;"
-
-let apply_flaw flaw source =
+(* The anchor is the accumulator's declaration in the response's own
+   precision: "double comp = 0.0;" or "float comp = 0.0;". *)
+let apply_flaw precision flaw source =
+  let ty = Pp.fp_type_name precision in
+  let comp_decl = ty ^ " comp = 0.0;" in
   match flaw with
   | Unknown_function ->
     (* unsupported math function (outside the allowed headers' subset) *)
-    replace_first source comp_decl "double comp = erf(0.5);"
+    replace_first source comp_decl (ty ^ " comp = erf(0.5);")
   | Uninitialized_variable ->
     (* uninitialized variable: rejected by the validator *)
     replace_first source comp_decl
-      (comp_decl ^ "\n  double uninitialized_value;")
+      (comp_decl ^ "\n  " ^ ty ^ " uninitialized_value;")
   | Undefined_call ->
     (* call to a function that does not exist *)
     replace_first source comp_decl (comp_decl ^ "\n  comp = randval();")
 
-let inject_flaw t source =
-  apply_flaw flaws.(Util.Rng.int t.rng (Array.length flaws)) source
+let inject_flaw t precision source =
+  apply_flaw precision flaws.(Util.Rng.int t.rng (Array.length flaws)) source
 
 (* --------------------------------------------------------------- *)
 
@@ -557,7 +559,8 @@ let generate t prompt =
     else Pp.to_c { program with Ast.precision }
   in
   let source =
-    if Util.Rng.chance t.rng (flaw_rate prompt) then inject_flaw t source
+    if Util.Rng.chance t.rng (flaw_rate prompt) then
+      inject_flaw t precision source
     else source
   in
   let prompt_tokens = Prompt.token_count (Prompt.render prompt) in

@@ -87,6 +87,6 @@ val flaws : flaw array
 (** Every mistake kind, in the order a flawed response draws them
     (uniformly, one [Rng.int] draw). *)
 
-val apply_flaw : flaw -> string -> string
+val apply_flaw : Lang.Ast.precision -> flaw -> string -> string
 (** The mistake injected into a response's source text, anchored on the
-    [comp] declaration. *)
+    [comp] declaration of the given precision ([double] or [float]). *)

@@ -223,8 +223,10 @@ let test_to_cuda_structure () =
    per-statement lines and the Type-2 clone key. The corpora are
    fixed-seed campaigns of every approach at FP64 and FP32 plus 300
    Varity programs at both precisions. Pinned when the printer built
-   its text by string concatenation; any byte of output it changes
-   changes the digest. *)
+   its text by string concatenation (and re-pinned, with that printer,
+   when injected mistakes began to fire at FP32 and so changed the FP32
+   campaigns); any byte of output the printer changes changes the
+   digest. *)
 let test_render_golden_digest () =
   let campaign precision approach =
     (Harness.Campaign.run ~budget:25 ~precision ~seed:4242 approach)
@@ -262,8 +264,8 @@ let test_render_golden_digest () =
         p.body;
       add (Diversity.Clones.type2_key p))
     corpus;
-  check_int "corpus size" 845 (List.length corpus);
-  check_string "rendering digest" "275f277f346d8a4191a571b391c28bed"
+  check_int "corpus size" 840 (List.length corpus);
+  check_string "rendering digest" "1370afe62483f835e18f0b170700968b"
     (Digest.to_hex (Digest.string (Buffer.contents b)))
 
 let qcheck_map_exprs_identity =

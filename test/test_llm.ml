@@ -267,6 +267,29 @@ let test_client_mutate_relates_to_example () =
       (List.length example.Lang.Ast.params)
       (List.length p.Lang.Ast.params)
 
+(* A mistake is anchored on the comp declaration of the response's own
+   precision, so every kind fires, and is rejected, at FP32 as at FP64;
+   a single-precision campaign therefore loses slots to mistakes too. *)
+let test_flaws_fire_at_both_precisions () =
+  let example = Llm.Corpus.program Llm.Corpus.entries.(0) in
+  List.iter
+    (fun precision ->
+      let source = Lang.Pp.to_c { example with Lang.Ast.precision } in
+      Array.iter
+        (fun flaw ->
+          let flawed = Llm.Client.apply_flaw precision flaw source in
+          check_bool "source changed" true (flawed <> source);
+          check_bool "admission fails" true
+            (Result.is_error (Harness.Campaign.admit flawed)))
+        Llm.Client.flaws)
+    [ Lang.Ast.F64; Lang.Ast.F32 ];
+  let o =
+    Harness.Campaign.run ~budget:100 ~precision:Lang.Ast.F32 ~seed:3
+      Harness.Approach.Direct_prompt
+  in
+  check_bool "FP32 generation failures" true
+    (o.Harness.Campaign.generation_failures > 0)
+
 let test_flaw_rates_ordered () =
   let d = Llm.Client.flaw_rate (Llm.Prompt.Direct { precision = Lang.Ast.F64 }) in
   let g = Llm.Client.flaw_rate (Llm.Prompt.Grammar { precision = Lang.Ast.F64 }) in
@@ -320,5 +343,7 @@ let () =
           Alcotest.test_case "latency accounting" `Quick test_client_latency_accounting;
           Alcotest.test_case "mutate keeps signature" `Quick test_client_mutate_relates_to_example;
           Alcotest.test_case "flaw rates ordered" `Quick test_flaw_rates_ordered;
+          Alcotest.test_case "flaws fire at FP32" `Quick
+            test_flaws_fire_at_both_precisions;
         ] );
     ]

@@ -241,7 +241,9 @@ let qcheck_expr_roundtrip =
 (* ------------------------------------------------------------------ *)
 (* Golden digests *)
 
-(* The texts the lexer and parser digests run over: every corpus kernel;
+(* The texts the lexer and parser digests run over (pinned with the
+   list-form lexer and the option-peeking parser, and re-pinned with
+   them when injected mistakes began to fire at FP32): every corpus kernel;
    the host and device units of fixed-seed 25-slot campaigns of every
    approach at both precisions; each mistake injection of the FP64 host
    units; every prefix of 20 host units (unterminated blocks and
@@ -267,7 +269,7 @@ let golden_sources =
        List.concat_map
          (fun p ->
            Array.to_list
-             (Array.map (fun f -> Llm.Client.apply_flaw f (Pp.to_c p))
+             (Array.map (fun f -> Llm.Client.apply_flaw Ast.F64 f (Pp.to_c p))
                 Llm.Client.flaws))
          f64
      in
@@ -301,8 +303,8 @@ let token_repr = function
   | tok -> Cparse.Lex.to_string tok
 
 let test_lex_golden_digest () =
-  check_int "inputs" 31390 (List.length (Lazy.force golden_sources));
-  check_string "token digest" "c18e2abca55fb45cc8da6a5a04b105d2"
+  check_int "inputs" 31380 (List.length (Lazy.force golden_sources));
+  check_string "token digest" "9d8fe1c6559186ffc10fa0882ccb5b04"
     (golden_digest (fun b src ->
          match Cparse.Lex.tokens src with
          | toks ->
@@ -314,7 +316,7 @@ let test_lex_golden_digest () =
          | exception Cparse.Lex.Error msg -> Buffer.add_string b ("E " ^ msg)))
 
 let test_parse_golden_digest () =
-  check_string "parse digest" "4a4007cfd7660e98ca2936f78018623f"
+  check_string "parse digest" "1e1b915825812968ec1de72ca20bd13c"
     (golden_digest (fun b src ->
          match Cparse.Parse.program src with
          | Ok p ->
