@@ -62,9 +62,7 @@ let rec add_expr b precision min_level e =
     put b [ " "; Ast.binop_symbol op; " " ];
     add_expr b precision (lv + 1) r
   | Ast.Call (fn, args) ->
-    Buffer.add_string b (Ast.math_fn_name fn);
-    if precision = Ast.F32 then Buffer.add_char b 'f';
-    Buffer.add_char b '(';
+    put b [ math_call_name precision fn; "(" ];
     List.iteri
       (fun i arg ->
         if i > 0 then Buffer.add_string b ", ";

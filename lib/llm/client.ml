@@ -293,7 +293,7 @@ let apply_flaw precision flaw source =
     (* unsupported math function (outside the allowed headers' subset) *)
     replace_first source comp_decl (ty ^ " comp = erf(0.5);")
   | Uninitialized_variable ->
-    (* uninitialized variable: rejected by the validator *)
+    (* uninitialized variable: the grammar requires an initializer *)
     replace_first source comp_decl
       (comp_decl ^ "\n  " ^ ty ^ " uninitialized_value;")
   | Undefined_call ->
