@@ -51,7 +51,8 @@ let compare_outputs level ((left : output), left_digits)
     class_left = Fp.Bits.classify left.value;
     class_right = Fp.Bits.classify right.value;
     digits =
-      (if inconsistent then Fp.Digits.diff_count_prepared left_digits right_digits
+      (if inconsistent then
+         Fp.Digits.diff_count_prepared left_digits right_digits
        else 0);
   }
 

@@ -120,7 +120,7 @@ let stmt_to_lines precision depth stmt =
 
 let add_signature b ~cuda (p : Ast.program) =
   let ty = fp_type_name p.precision in
-  Buffer.add_string b (if cuda then "__global__ void compute(" else "void compute(");
+  put b [ (if cuda then "__global__ " else ""); "void compute(" ];
   List.iteri
     (fun i prm ->
       if i > 0 then Buffer.add_string b ", ";
@@ -142,7 +142,9 @@ let add_compute b ~cuda (p : Ast.program) =
   add_signature b ~cuda p;
   put b [ " {\n  "; fp_type_name p.precision; " "; Ast.comp_name; " = 0.0;\n" ];
   List.iter (add_stmt b p.precision 1) p.body;
-  put b [ "  printf(\""; result_format p.precision; "\\n\", "; Ast.comp_name; ");\n}" ]
+  put b
+    [ "  printf(\""; result_format p.precision; "\\n\", "; Ast.comp_name;
+      ");\n}" ]
 
 let compute_to_string ?(cuda = false) p =
   let b = Buffer.create 1024 in

@@ -135,7 +135,8 @@ let tokens src =
          | '=' when at (i + 1) = '=' -> two Eq_eq i
          | '=' -> one Assign i
          | '!' when at (i + 1) = '=' -> two Ne i
-         | c when is_digit c || (c = '.' && is_digit (at (i + 1))) -> lex_number i
+         | c when is_digit c || (c = '.' && is_digit (at (i + 1))) ->
+           lex_number i
          | c when is_ident_start c ->
            let j = ref i in
            while !j < n && is_ident_char src.[!j] do incr j done;

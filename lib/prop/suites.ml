@@ -153,7 +153,8 @@ let pp_parse_fixpoint =
       match
         (Cparse.Parse.program printed, Cparse.Parse.program (Lang.Pp.to_cuda p))
       with
-      | Ok p', Ok device -> Lang.Pp.to_c p' = printed && Lang.Ast.equal p' device
+      | Ok p', Ok device ->
+        Lang.Pp.to_c p' = printed && Lang.Ast.equal p' device
       | _ -> false)
 
 let gen_archive_case rng =

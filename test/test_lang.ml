@@ -299,7 +299,8 @@ let () =
       ( "printing",
         [
           Alcotest.test_case "literals" `Quick test_lit_to_string;
-          Alcotest.test_case "literals match %.17g" `Quick test_lit_matches_printf;
+          Alcotest.test_case "literals match %.17g" `Quick
+            test_lit_matches_printf;
           QCheck_alcotest.to_alcotest qcheck_lit_roundtrip;
           Alcotest.test_case "precedence" `Quick test_expr_precedence_printing;
           Alcotest.test_case "negation" `Quick test_neg_printing;

@@ -262,9 +262,13 @@ let golden_sources =
        Array.to_list Llm.Corpus.entries
        |> List.map (fun e -> Pp.compute_to_string (Llm.Corpus.program e))
      in
-     let programs precision = List.concat_map (campaign precision) approaches in
+     let programs precision =
+       List.concat_map (campaign precision) approaches
+     in
      let f64 = programs Ast.F64 and f32 = programs Ast.F32 in
-     let units = List.concat_map (fun p -> [ Pp.to_c p; Pp.to_cuda p ]) (f64 @ f32) in
+     let units =
+       List.concat_map (fun p -> [ Pp.to_c p; Pp.to_cuda p ]) (f64 @ f32)
+     in
      let flawed =
        List.concat_map
          (fun p ->
@@ -321,7 +325,9 @@ let test_parse_golden_digest () =
          match Cparse.Parse.program src with
          | Ok p ->
            Buffer.add_string b
-             (match p.Ast.precision with Ast.F64 -> "f64\n" | Ast.F32 -> "f32\n");
+             (match p.Ast.precision with
+              | Ast.F64 -> "f64\n"
+              | Ast.F32 -> "f32\n");
            Buffer.add_string b (Pp.to_c p)
          | Error msg -> Buffer.add_string b ("E " ^ msg)))
 
