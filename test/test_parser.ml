@@ -243,7 +243,8 @@ let qcheck_expr_roundtrip =
 
 (* The texts the lexer and parser digests run over (pinned with the
    list-form lexer and the option-peeking parser, and re-pinned with
-   them when injected mistakes began to fire at FP32): every corpus kernel;
+   them when injected mistakes began to fire at FP32): every corpus
+   kernel, as stored and as rendered;
    the host and device units of fixed-seed 25-slot campaigns of every
    approach at both precisions; each mistake injection of the FP64 host
    units; every prefix of 20 host units (unterminated blocks and
@@ -260,7 +261,8 @@ let golden_sources =
      in
      let corpus =
        Array.to_list Llm.Corpus.entries
-       |> List.map (fun e -> Pp.compute_to_string (Llm.Corpus.program e))
+       |> List.concat_map (fun (e : Llm.Corpus.entry) ->
+              [ e.source; Pp.compute_to_string (Llm.Corpus.program e) ])
      in
      let programs precision =
        List.concat_map (campaign precision) approaches
@@ -307,8 +309,8 @@ let token_repr = function
   | tok -> Cparse.Lex.to_string tok
 
 let test_lex_golden_digest () =
-  check_int "inputs" 31380 (List.length (Lazy.force golden_sources));
-  check_string "token digest" "9d8fe1c6559186ffc10fa0882ccb5b04"
+  check_int "inputs" 31444 (List.length (Lazy.force golden_sources));
+  check_string "token digest" "7046a0bd1c5f6546c77c2d0f449656c3"
     (golden_digest (fun b src ->
          match Cparse.Lex.tokens src with
          | toks ->
@@ -320,7 +322,7 @@ let test_lex_golden_digest () =
          | exception Cparse.Lex.Error msg -> Buffer.add_string b ("E " ^ msg)))
 
 let test_parse_golden_digest () =
-  check_string "parse digest" "1e1b915825812968ec1de72ca20bd13c"
+  check_string "parse digest" "f25d04a12c510c84d155c0d22583d6ab"
     (golden_digest (fun b src ->
          match Cparse.Parse.program src with
          | Ok p ->
