@@ -198,6 +198,7 @@ let add_unit b ~cuda (p : Ast.program) =
               "] = "; name; "[i_"; name; "]; }\n" ]
         | Ast.P_int _ | Ast.P_fp _ -> ())
       p.params;
+    (* with nothing to copy, a blank line stands before the launch *)
     if !copies = 0 then Buffer.add_char b '\n'
   end;
   Buffer.add_string b (if cuda then "  compute<<<1, 1>>>(" else "  compute(");
@@ -213,12 +214,10 @@ let add_unit b ~cuda (p : Ast.program) =
     (if cuda then ");\n  cudaDeviceSynchronize();\n  return 0;\n}\n"
      else ");\n  return 0;\n}\n")
 
-let to_c p =
+let render_unit ~cuda p =
   let b = Buffer.create 2048 in
-  add_unit b ~cuda:false p;
+  add_unit b ~cuda p;
   Buffer.contents b
 
-let to_cuda p =
-  let b = Buffer.create 2048 in
-  add_unit b ~cuda:true p;
-  Buffer.contents b
+let to_c p = render_unit ~cuda:false p
+let to_cuda p = render_unit ~cuda:true p

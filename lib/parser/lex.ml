@@ -25,9 +25,9 @@ let tokens src =
   let n = String.length src in
   let line = ref 1 in
   let fail msg = raise (Error (Printf.sprintf "line %d: %s" !line msg)) in
-  (* A growable array of chunks small enough for the minor heap, so no
-     store pays the major heap's write barrier; the result is allocated
-     once, at its final size. *)
+  (* A growable array of chunks that fit the minor heap (256 words),
+     where stores skip the major heap's remembered set; the result is
+     allocated once, at its final size. *)
   let chunk_size = 256 in
   let full = ref [] and chunk = ref (Array.make chunk_size Semi) in
   let used = ref 0 in
