@@ -72,9 +72,11 @@ and body_subtrees acc body =
   in
   (String.concat ";" (List.rev rs), acc)
 
-let summarize (p : Ast.program) =
+let summarize ?(intern = Fun.id) (p : Ast.program) =
   let _, subtrees = body_subtrees [] p.body in
-  Multiset.of_array (Array.of_list subtrees)
+  let keys = Array.of_list subtrees in
+  Array.map_inplace intern keys;
+  Multiset.of_array keys
 
 let score ~candidate ~reference =
   Multiset.fraction candidate (fst (Multiset.inter candidate reference))

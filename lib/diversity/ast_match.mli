@@ -10,7 +10,10 @@
 type summary = Multiset.t
 (** The subtree multiset, keyed by canonical rendering. *)
 
-val summarize : Lang.Ast.program -> summary
+val summarize : ?intern:(string -> string) -> Lang.Ast.program -> summary
+(** [intern] (default the identity) maps each rendering to the copy the
+    summary keeps; {!Codebleu.corpus_mean} passes one that shares equal
+    strings, so equal subtrees compare by pointer. *)
 
 val score : candidate:summary -> reference:summary -> float
 (** In [0, 1]; 1.0 when the candidate has no subtrees. *)

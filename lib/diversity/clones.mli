@@ -30,6 +30,11 @@ val type2c_key : Lang.Ast.program -> string
 (** Canonical fingerprints: two programs are clones of the given type iff
     their keys are equal. *)
 
+val type2_key_of_unit : string -> string
+(** [type2_key_of_unit (type1_key p) = type2_key p]: the Type-2 key from
+    a host unit as {!Lang.Pp.to_c} prints it, lexing only its [compute]
+    part instead of rendering [compute] again. *)
+
 val analyze : Lang.Ast.program list -> report
 
 val percentage : report -> float

@@ -6,20 +6,26 @@ type summary = {
 
 let keyword_weight tok = if Cparse.Lex.is_keyword tok then 4 else 1
 
-let tokens_of (p : Lang.Ast.program) =
-  Array.map Cparse.Lex.to_string
+let tokens_of intern (p : Lang.Ast.program) =
+  Array.map
+    (fun tok -> intern (Cparse.Lex.to_string tok))
     (Cparse.Lex.tokens (Lang.Pp.compute_to_string p))
 
-let summarize p =
+(* [intern] maps every string the summary keeps (token, subtree
+   rendering, edge) to the copy it stores. *)
+let summarize_with intern p =
   let edges =
     Analysis.Dataflow.edges p
-    |> List.map (fun (e : Analysis.Dataflow.edge) -> e.def ^ "\x00" ^ e.use)
+    |> List.map (fun (e : Analysis.Dataflow.edge) ->
+           intern (e.def ^ "\x00" ^ e.use))
   in
   {
-    tokens = Bleu.table ~weight:keyword_weight (tokens_of p);
-    ast = Ast_match.summarize p;
+    tokens = Bleu.table ~weight:keyword_weight (tokens_of intern p);
+    ast = Ast_match.summarize ~intern p;
     edges = Multiset.of_array (Array.of_list edges);
   }
+
+let summarize p = summarize_with Fun.id p
 
 (* The clipped matches of two summaries, component by component. Σ min is
    symmetric, so one overlap scores both directions of a pair. *)
@@ -57,7 +63,18 @@ let symmetric a b =
 
 let corpus_mean ?(max_pairs = 200_000) ~seed programs =
   if max_pairs < 1 then invalid_arg "Codebleu.corpus_mean: max_pairs < 1";
-  let summaries = Array.of_list (List.map summarize programs) in
+  (* One shared copy of each equal string, so that equal tokens,
+     subtrees and edges of different programs compare by pointer. The
+     table lives for this call only. *)
+  let shared = Hashtbl.create 4096 in
+  let intern s =
+    match Hashtbl.find_opt shared s with
+    | Some s -> s
+    | None ->
+      Hashtbl.add shared s s;
+      s
+  in
+  let summaries = Array.of_list (List.map (summarize_with intern) programs) in
   let n = Array.length summaries in
   if n < 2 then 0.0
   else begin

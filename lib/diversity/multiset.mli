@@ -8,7 +8,10 @@
     two multisets, Σ min(c, r) over their common keys, is one linear
     merge that allocates nothing. Keys are compared, token by token, only
     when their hashes tie, so a hash collision never merges two distinct
-    keys. Each key also carries an integer weight. *)
+    keys; physically equal tokens compare without reading them, so
+    arrays that share their equal tokens (as {!Codebleu.corpus_mean}'s
+    do) settle ties by pointer. Each key also carries an integer
+    weight. *)
 
 type t
 

@@ -479,15 +479,15 @@ let mutate_generate t example =
    always (twice if needed) on an exact-text repeat, usually (once) on a
    blind-rename structural repeat. The residue models the clones the
    paper still observes in LLM4FP's output. Each candidate is rendered
-   and keyed once; the keys are pure, so computing both up front leaves
-   the draw sequence unchanged. Returns the accepted program with its C
-   rendering. *)
+   once and both keys come from that text; the keys are pure, so
+   computing both up front leaves the draw sequence unchanged. Returns
+   the accepted program with its C rendering. *)
 let avoid_repeats t make =
   let rec roll attempts =
     let candidate = make () in
     let text = Pp.to_c candidate in
     let exact = "1:" ^ text in
-    let structural = "2:" ^ Diversity.Clones.type2_key candidate in
+    let structural = "2:" ^ Diversity.Clones.type2_key_of_unit text in
     if attempts > 0 && Hashtbl.mem t.seen_structures exact then
       roll (attempts - 1)
     else if
@@ -563,7 +563,7 @@ let generate t prompt =
       inject_flaw t precision source
     else source
   in
-  let prompt_tokens = Prompt.token_count (Prompt.render prompt) in
+  let prompt_tokens = Prompt.tokens prompt in
   let output_tokens = Prompt.token_count source in
   let latency =
     rtt

@@ -85,3 +85,20 @@ let token_count s =
     | _ -> if not !in_word then (in_word := true; incr words)
   done;
   !words
+
+(* Direct and Grammar texts depend only on the precision, so their
+   counts are taken once per precision, when the module initializes. *)
+let per_precision count =
+  let f64 = count Lang.Ast.F64 and f32 = count Lang.Ast.F32 in
+  function Lang.Ast.F64 -> f64 | Lang.Ast.F32 -> f32
+
+let direct_tokens =
+  per_precision (fun precision -> token_count (render (Direct { precision })))
+
+let grammar_tokens =
+  per_precision (fun precision -> token_count (render (Grammar { precision })))
+
+let tokens = function
+  | Direct { precision } -> direct_tokens precision
+  | Grammar { precision } -> grammar_tokens precision
+  | Mutate _ as p -> token_count (render p)

@@ -39,3 +39,8 @@ val render : t -> string
 
 val token_count : string -> int
 (** Whitespace-delimited token estimate, used by the latency model. *)
+
+val tokens : t -> int
+(** [token_count (render p)]. A Direct or Grammar text depends only on
+    its precision, so its count is computed once per precision; a Mutate
+    prompt, which embeds its example, is rendered and counted per call. *)

@@ -162,9 +162,13 @@ let keyword_table =
 
 let is_keyword s = Hashtbl.mem keyword_table s
 
+(* The runtime primitive [Printf.sprintf "%.17g"] calls, without the
+   format interpretation (as [Lang.Pp] does for its literals). *)
+external format_float : string -> float -> string = "caml_format_float"
+
 let to_string = function
   | Int_tok v -> string_of_int v
-  | Float_tok v -> Printf.sprintf "%.17g" v
+  | Float_tok v -> format_float "%.17g" v
   | Ident s -> s
   | Lparen -> "(" | Rparen -> ")"
   | Lbrace -> "{" | Rbrace -> "}"

@@ -5,7 +5,7 @@ exception Error of string
 type state = {
   toks : Lex.token array;
   mutable pos : int;
-  mutable precision : Ast.precision;
+  mutable precision : Ast.precision option;
   array_lens : (string, int) Hashtbl.t;
   default_array_len : int;
 }
@@ -52,6 +52,11 @@ let fp_precision = function
   | "float" -> Ast.F32
   | "double" -> Ast.F64
   | s -> invalid_arg ("not an fp type: " ^ s)
+
+(* The unit's precision is its first fp type, a parameter's or a local
+   declaration's. *)
+let declare st ty =
+  if st.precision = None then st.precision <- Some (fp_precision ty)
 
 (* --------------------------------------------------------------- *)
 (* Expressions *)
@@ -182,6 +187,7 @@ let rec parse_block st =
 and parse_stmt st : Ast.stmt option =
   match peek st with
   | Lex.Ident ty when is_fp_type ty -> begin
+    declare st ty;
     advance st;
     let name = expect_ident st in
     expect st Lex.Assign "'=' in declaration";
@@ -291,7 +297,7 @@ let parse_params st =
           advance st;
           Ast.P_int (expect_ident st)
         | Lex.Ident ty when is_fp_type ty -> begin
-          st.precision <- fp_precision ty;
+          declare st ty;
           advance st;
           match peek st with
           | Lex.Star ->
@@ -335,14 +341,15 @@ let program ?(default_array_len = 8) src =
     let st =
       { toks;
         pos = 0;
-        precision = Ast.F64;
+        precision = None;
         array_lens = scan_array_lens toks;
         default_array_len }
     in
     seek_compute st;
     let params = parse_params st in
     let body = parse_block st in
-    ({ Ast.precision = st.precision; params; body } : Ast.program)
+    let precision = Option.value st.precision ~default:Ast.F64 in
+    ({ Ast.precision; params; body } : Ast.program)
   with
   | p -> Ok p
   | exception Error msg -> Result.error ("parse error: " ^ msg)
@@ -358,7 +365,7 @@ let expr src =
     let st =
       { toks = Lex.tokens src;
         pos = 0;
-        precision = Ast.F64;
+        precision = None;
         array_lens = Hashtbl.create 1;
         default_array_len = 8 }
     in

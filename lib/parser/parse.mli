@@ -14,8 +14,10 @@
 
 val program :
   ?default_array_len:int -> string -> (Lang.Ast.program, string) result
-(** Parse a program. The error string carries a token-level description of
-    the first offending construct. [default_array_len] defaults to 8. *)
+(** Parse a program. Its precision is that of the first fp type the unit
+    declares, in a parameter or a local declaration ([double] when there
+    is none). The error string carries a token-level description of the
+    first offending construct. [default_array_len] defaults to 8. *)
 
 val program_exn : ?default_array_len:int -> string -> Lang.Ast.program
 (** Like {!program}, raising [Failure] on error. *)

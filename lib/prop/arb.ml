@@ -166,3 +166,47 @@ let case =
       (fun (p, inputs) ->
         Printf.sprintf "%s\ninputs: %s" (Lang.Pp.to_c p) (print_inputs inputs));
   }
+
+(* ------------------------------------------------------------------ *)
+(* Token windows *)
+
+let colliding_tokens =
+  lazy
+    (let seen = Hashtbl.create 100_000 in
+     let rec search i =
+       let tok = "t" ^ string_of_int i in
+       let h = Hashtbl.hash tok in
+       match Hashtbl.find_opt seen h with
+       | Some other -> (other, tok)
+       | None ->
+         Hashtbl.add seen h tok;
+         search (i + 1)
+     in
+     search 0)
+
+let token_array rng =
+  let a, b = Lazy.force colliding_tokens in
+  let alphabet = [| a; b; "x"; "y"; "+"; "comp"; "double" |] in
+  Array.init (Util.Rng.int_in rng 0 40) (fun _ ->
+      let tok = alphabet.(Util.Rng.int rng (Array.length alphabet)) in
+      if Util.Rng.bool rng then tok else Bytes.to_string (Bytes.of_string tok))
+
+let token_windows =
+  let shrink_array a =
+    Seq.map Array.of_list (Engine.Shrink.list (Array.to_list a))
+  in
+  {
+    Engine.gen =
+      (fun rng ->
+        let max_n = Util.Rng.int_in rng 1 16 in
+        let a = token_array rng in
+        (max_n, a, token_array rng));
+    shrink =
+      (fun (max_n, a, b) ->
+        Seq.map (fun (a, b) -> (max_n, a, b))
+          (Engine.Shrink.pair shrink_array shrink_array (a, b)));
+    print =
+      (fun (max_n, a, b) ->
+        let show t = String.concat " " (Array.to_list t) in
+        Printf.sprintf "max_n = %d\na = [%s]\nb = [%s]" max_n (show a) (show b));
+  }

@@ -32,3 +32,15 @@ val program : Lang.Ast.program Engine.arb
 val case : (Lang.Ast.program * Irsim.Inputs.t) Engine.arb
 (** Program/input pairs as produced by [Gen.Varity.gen_case]: the
     program shrinks first, then the inputs. *)
+
+val colliding_tokens : (string * string) Lazy.t
+(** The first two of ["t0"], ["t1"], … with equal [Hashtbl.hash]: token
+    windows built from them tie on their hash and must still be told
+    apart. *)
+
+val token_windows : (int * string array * string array) Engine.arb
+(** An order bound from 1 to 16, so that window hashes also wrap, and two
+    arrays of up to 40 tokens over a seven-token alphabet that holds
+    {!colliding_tokens}. Each token is the alphabet's string or, half the
+    time, a fresh copy of it, so equal tokens are sometimes physically
+    distinct. Shrinking removes tokens. *)

@@ -333,6 +333,67 @@ let codebleu_symmetric =
            *. (Diversity.Codebleu.pair_score ~candidate:sa ~reference:sb
               +. Diversity.Codebleu.pair_score ~candidate:sb ~reference:sa)))
 
+(* The windows of [n] tokens of [toks] counted the naive way: an
+   association list from token list to count. *)
+let naive_windows n toks =
+  let rec add key = function
+    | [] -> [ (key, 1) ]
+    | (k, c) :: rest when k = key -> (k, c + 1) :: rest
+    | kc :: rest -> kc :: add key rest
+  in
+  let counts = ref [] in
+  for i = 0 to Array.length toks - n do
+    counts := add (Array.to_list (Array.sub toks i n)) !counts
+  done;
+  !counts
+
+(* Distinct weights for the two colliding tokens, and a zero weight that
+   a window must lift to 1. *)
+let window_token_weight tok =
+  if tok = fst (Lazy.force Arb.colliding_tokens) then 3
+  else if tok = "double" then 4
+  else if tok = "x" then 0
+  else 1
+
+let key_weight key =
+  List.fold_left (fun w tok -> Int.max w (window_token_weight tok)) 1 key
+
+let multiset_equiv =
+  make_suite "multiset-equiv"
+    "Multiset.windows and inter give the naive counts: plain and weighted \
+     cardinals, and the clipped sums Σ min and Σ weight × min, at every \
+     order up to a bound of 1 to 16"
+    Arb.token_windows
+    (fun (max_n, a, b) ->
+      let module M = Diversity.Multiset in
+      let wa = M.windows ~weight:window_token_weight max_n a
+      and wb = M.windows ~weight:window_token_weight max_n b in
+      List.for_all
+        (fun n ->
+          let ca = naive_windows n a and cb = naive_windows n b in
+          let cardinal c = List.fold_left (fun s (_, k) -> s + k) 0 c in
+          let weighted c =
+            List.fold_left (fun s (key, k) -> s + (key_weight key * k)) 0 c
+          in
+          let clipped =
+            List.fold_left
+              (fun (p, w) (key, k) ->
+                match List.assoc_opt key cb with
+                | Some r ->
+                  let m = Int.min k r in
+                  (p + m, w + (key_weight key * m))
+                | None -> (p, w))
+              (0, 0) ca
+          in
+          let ma = wa.(n - 1) and mb = wb.(n - 1) in
+          M.cardinal ma = cardinal ca
+          && M.cardinal mb = cardinal cb
+          && M.weighted_cardinal ma = weighted ca
+          && M.weighted_cardinal mb = weighted cb
+          && M.inter ma mb = clipped
+          && M.inter mb ma = clipped)
+        (List.init max_n (fun k -> k + 1)))
+
 (* ------------------------------------------------------------------ *)
 (* Execution-engine equivalence *)
 
@@ -516,6 +577,7 @@ let all =
     bleu_range;
     bleu_self;
     codebleu_symmetric;
+    multiset_equiv;
     vm_equiv;
     fleet_merge;
   ]

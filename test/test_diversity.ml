@@ -173,21 +173,8 @@ let test_corpus_mean_rejects_max_pairs () =
 
 (* Two distinct tokens with equal [Hashtbl.hash]: n-gram keys tie on
    their hash and must still be told apart. *)
-let colliding_tokens () =
-  let seen = Hashtbl.create 100_000 in
-  let rec search i =
-    let tok = "t" ^ string_of_int i in
-    let h = Hashtbl.hash tok in
-    match Hashtbl.find_opt seen h with
-    | Some other -> (other, tok)
-    | None ->
-      Hashtbl.add seen h tok;
-      search (i + 1)
-  in
-  search 0
-
 let test_hash_collision () =
-  let a, b = colliding_tokens () in
+  let a, b = Lazy.force Prop.Arb.colliding_tokens in
   check_bool "distinct tokens" true (a <> b);
   check_int "equal hashes" (Hashtbl.hash a) (Hashtbl.hash b);
   let score c r =
@@ -246,6 +233,25 @@ let test_analyze_buckets () =
   check_int "total" 4 r.Diversity.Clones.total_programs;
   Alcotest.(check (float 0.01)) "percentage" 50.0 (Diversity.Clones.percentage r)
 
+(* The key from a program's host unit, which the client and [analyze]
+   already hold, is the key of the program: every program of 25-slot
+   campaigns of each approach, at both precisions. *)
+let test_type2_key_of_unit () =
+  List.iter
+    (fun precision ->
+      Array.iter
+        (fun approach ->
+          let o = Harness.Campaign.run ~budget:25 ~precision ~seed:31 approach in
+          check_bool "campaign kept programs" true (o.Harness.Campaign.programs <> []);
+          List.iter
+            (fun p ->
+              check_string (Harness.Approach.name approach)
+                (Diversity.Clones.type2_key p)
+                (Diversity.Clones.type2_key_of_unit (Lang.Pp.to_c p)))
+            o.Harness.Campaign.programs)
+        (Array.append Harness.Approach.all [| Harness.Approach.Bandit |]))
+    [ Lang.Ast.F64; Lang.Ast.F32 ]
+
 let test_analyze_distinct () =
   let programs = List.init 20 (fun i -> Gen.Varity.generate (Util.Rng.of_int i)) in
   let r = Diversity.Clones.analyze programs in
@@ -288,5 +294,7 @@ let () =
           Alcotest.test_case "hierarchy" `Quick test_clone_hierarchy;
           Alcotest.test_case "bucket accounting" `Quick test_analyze_buckets;
           Alcotest.test_case "distinct programs" `Quick test_analyze_distinct;
+          Alcotest.test_case "type-2 key of the unit text" `Quick
+            test_type2_key_of_unit;
         ] );
     ]

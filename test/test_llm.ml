@@ -86,6 +86,22 @@ let test_token_count_separators () =
       ("a   b    c", 3); ("a\n\n\nb", 2); ("x \n y\n\tz\t", 3);
       ("void compute(double x) {\n  comp += x;\n}", 8) ]
 
+(* The per-precision counts of the Direct and Grammar prompts are the
+   counts of their rendered texts; a Mutate prompt is counted per call. *)
+let test_prompt_tokens () =
+  let example = Llm.Corpus.program Llm.Corpus.entries.(0) in
+  List.iter
+    (fun precision ->
+      List.iter
+        (fun prompt ->
+          check_int
+            (Llm.Prompt.kind prompt ^ " at " ^ Lang.Pp.fp_type_name precision)
+            (Llm.Prompt.token_count (Llm.Prompt.render prompt))
+            (Llm.Prompt.tokens prompt))
+        [ Llm.Prompt.Direct { precision }; Llm.Prompt.Grammar { precision };
+          Llm.Prompt.Mutate { precision; example } ])
+    [ Lang.Ast.F64; Lang.Ast.F32 ]
+
 (* ------------------------------------------------------------------ *)
 (* Sampler *)
 
@@ -316,6 +332,7 @@ let () =
           Alcotest.test_case "token count" `Quick test_token_count;
           Alcotest.test_case "token count separators" `Quick
             test_token_count_separators;
+          Alcotest.test_case "prompt tokens" `Quick test_prompt_tokens;
         ] );
       ( "sampler",
         [

@@ -51,6 +51,31 @@ let test_tokens_string_literal () =
     check_bool "escape kept" true (Util.Text.contains_sub s "17g")
   | _ -> Alcotest.fail "unexpected token stream"
 
+(* Float tokens are spelled by the primitive [Printf.sprintf "%.17g"]
+   calls; the two spellings agree on ±0, subnormals, powers of ten, the
+   extremes, and the infinity an overflowing literal lexes to. *)
+let test_float_spelling_matches_printf () =
+  let spell v = Cparse.Lex.to_string (Cparse.Lex.Float_tok v) in
+  let grid =
+    [ 0.0; 5e-324; 1e-310; 2.2250738585072009e-308; 2.2250738585072014e-308;
+      1e-300; 1e300; Float.max_float; 0.1; 1.0 /. 3.0; Float.pi; 0.5; 1e15;
+      1e16; 1e17; 1e21; 1e22 ]
+    @ List.init 647 (fun i -> 10.0 ** float_of_int (i - 323))
+  in
+  List.iter
+    (fun v ->
+      List.iter
+        (fun x ->
+          check_string (Printf.sprintf "%h" x) (Printf.sprintf "%.17g" x) (spell x))
+        [ v; -.v ])
+    grid;
+  match Cparse.Lex.tokens "1e999" with
+  | [| Cparse.Lex.Float_tok v |] ->
+    check_bool "overflows to inf" true (v = Float.infinity);
+    check_string "inf" (Printf.sprintf "%.17g" v) (spell v);
+    check_string "-inf" (Printf.sprintf "%.17g" (-.v)) (spell (-.v))
+  | _ -> Alcotest.fail "1e999 is not one float token"
+
 let test_lex_error () =
   check_bool "raises" true
     (match Cparse.Lex.tokens "a $ b" with
@@ -168,6 +193,17 @@ let test_f32_detection () =
   let src = "void compute(float x) { float comp = 0.0; comp = sinf(x); }" in
   let p = Cparse.Parse.program_exn src in
   check_bool "precision F32" true (p.Ast.precision = Ast.F32)
+
+(* No fp parameter: the local declaration sets the precision, and the
+   program prints back as it was written. *)
+let test_f32_from_local () =
+  let src = "void compute(int n) { float comp = 0.0; comp += sinf(1.5); }" in
+  let p = Cparse.Parse.program_exn src in
+  check_bool "precision F32" true (p.Ast.precision = Ast.F32);
+  let printed = Pp.to_c p in
+  check_bool "prints float" true (Util.Text.contains_sub printed "float comp = 0.0;");
+  check_bool "prints sinf" true (Util.Text.contains_sub printed "sinf(1.5)");
+  check_bool "round-trips" true (Cparse.Parse.program_exn printed = p)
 
 let test_loop_forms () =
   let src = {|
@@ -343,6 +379,8 @@ let () =
           Alcotest.test_case "comments" `Quick test_tokens_comments;
           Alcotest.test_case "operators" `Quick test_tokens_operators;
           Alcotest.test_case "string literal" `Quick test_tokens_string_literal;
+          Alcotest.test_case "float spelling matches %.17g" `Quick
+            test_float_spelling_matches_printf;
           Alcotest.test_case "error position" `Quick test_lex_error;
           Alcotest.test_case "keywords" `Quick test_is_keyword;
         ] );
@@ -361,6 +399,8 @@ let () =
           Alcotest.test_case "array length default" `Quick test_array_length_default;
           Alcotest.test_case "comp init" `Quick test_nonzero_comp_init_becomes_assign;
           Alcotest.test_case "f32 detection" `Quick test_f32_detection;
+          Alcotest.test_case "f32 from a local declaration" `Quick
+            test_f32_from_local;
           Alcotest.test_case "loop forms" `Quick test_loop_forms;
           Alcotest.test_case "rejections" `Quick test_rejections;
           Alcotest.test_case "cuda roundtrip (single)" `Quick test_cuda_roundtrip;
