@@ -281,6 +281,18 @@ let parse_line ~path i line =
   | Ok json -> Ok json
   | Error msg -> err "%s: line %d: %s" path i msg
 
+(* Stored C renderings that resume re-parses: checked here, so damage is
+   a located [Error] and never a failure after [load] accepted the file. *)
+let check_sources ~path i what sources =
+  List.fold_left
+    (fun acc (k, source) ->
+      let* () = acc in
+      match Cparse.Parse.program source with
+      | Ok _ -> Ok ()
+      | Error msg -> err "%s: line %d: %s %d no longer parses (%s)" path i what k msg)
+    (Ok ())
+    (List.mapi (fun k source -> (k + 1, source)) sources)
+
 let load ~dir =
   let p = path ~dir in
   match open_in_bin p with
@@ -331,6 +343,7 @@ let load ~dir =
                 | _ -> err "%s: malformed bandit state" p
               in
               let* grow_seeds = string_list "grow_seeds" header in
+              let* () = check_sources ~path:p 1 "grow seed" grow_seeds in
               let* n_slots = int_field "slots" header in
               let* has_recorder = bool_field "has_recorder" header in
               let expected =
@@ -348,6 +361,10 @@ let load ~dir =
                 parse_line ~path:p 2 (List.nth rest 0)
               in
               let* client = client_of_json client_json in
+              let* () =
+                check_sources ~path:p 2 "client skeleton"
+                  client.Llm.Client.snap_skeletons
+              in
               let* stats_json = parse_line ~path:p 3 (List.nth rest 1) in
               let* stats =
                 Result.map_error

@@ -88,9 +88,11 @@ val write : dir:string -> t -> unit
     leaves the {e previous} checkpoint intact. *)
 
 val load : dir:string -> (t, string) result
-(** Read and fully decode a checkpoint, re-parsing stored programs.
-    Truncation, schema or shape problems yield [Error] naming the file
-    and line. *)
+(** Read and fully decode a checkpoint, re-parsing stored programs and
+    checking that every C rendering resume re-parses — the LLM
+    session's skeletons and the grow arm's seeds — still parses.
+    Truncation, schema or shape problems and such an unparseable
+    rendering yield [Error] naming the file and line. *)
 
 val reopen_trace : path:string -> t -> out_channel
 (** Open the trace file for a resumed run: truncate to the

@@ -1,9 +1,12 @@
+type exec_class = unit ref
+
 type binary = {
   config : Config.t;
   source : string;
   ir : Irsim.Ir.t;
   vm : Irsim.Vm.program;
   work : int;
+  exec_class : exec_class;
 }
 
 let m_compile_ok = Obs.Metrics.counter "compiler.compile.ok"
@@ -70,27 +73,34 @@ let pipeline (config : Config.t) ir =
 
 type target = [ `Host | `Device ]
 
-(* What a back end's output depends on: its pass pipeline (fold,
-   contract, fastmath, dce) and the runtime its flattened program binds.
-   Plain data, compared structurally. *)
-type back_key =
-  Irsim.Fold.config
-  * Irsim.Contract.policy
-  * Irsim.Fastmath.config option
-  * bool
-  * Irsim.Interp.runtime
+(* One back-end output of a program: its optimized IR, the runtime its
+   flattened program binds, and the class of outputs equal to it under
+   [Stdlib.compare]. *)
+type built = {
+  b_ir : Irsim.Ir.t;
+  b_rt : Irsim.Interp.runtime;
+  b_vm : Irsim.Vm.program;
+  b_work : int;
+  b_class : exec_class;
+}
+
+(* The program's back-end outputs, across both targets, pairwise not
+   [Identical]; newest first. One lock guards them and every front's
+   pipeline list. *)
+type shared = { lock : Mutex.t; mutable builts : built list }
 
 type front = {
   f_source : string;       (* the emitted translation unit *)
   f_ir : Irsim.Ir.t;       (* lowered, before the pass pipeline *)
   f_precision : Lang.Ast.precision;  (* of the re-parsed unit *)
-  f_lock : Mutex.t;
-  mutable f_backs : (back_key * binary) list;  (* one per distinct back end *)
+  f_shared : shared;
+  mutable f_backs : (Config.t * built) list;  (* one per distinct pipeline *)
 }
 
 type fronts = {
   program : Lang.Ast.program;
   lock : Mutex.t;
+  shared : shared;
   mutable host : (front, string) result option;
   mutable device : (front, string) result option;
 }
@@ -102,7 +112,7 @@ let target_of (config : Config.t) : target =
    the config so per-configuration failure messages keep their historic
    shape ("<config>: front end: …" / "<config>: …" / "<config>:
    lowering: …"). *)
-let run_front_end (target : target) program =
+let run_front_end (target : target) fronts =
   Obs.Span.with_span "compiler.front_end" @@ fun () ->
   inject_with_retry Exec.Faults.Front_end;
   Obs.Metrics.incr m_front_runs;
@@ -111,8 +121,8 @@ let run_front_end (target : target) program =
      translation. *)
   let source =
     match target with
-    | `Host -> Lang.Pp.to_c program
-    | `Device -> Lang.Pp.to_cuda program
+    | `Host -> Lang.Pp.to_c fronts.program
+    | `Device -> Lang.Pp.to_cuda fronts.program
   in
   match Cparse.Parse.program source with
   | Error msg -> Error (Printf.sprintf "front end: %s" msg)
@@ -130,12 +140,14 @@ let run_front_end (target : target) program =
         Ok
           { f_source = source; f_ir = ir;
             f_precision = parsed.Lang.Ast.precision;
-            f_lock = Mutex.create (); f_backs = [] }
+            f_shared = fronts.shared; f_backs = [] }
     end
   end
 
 let fronts program =
-  { program; lock = Mutex.create (); host = None; device = None }
+  { program; lock = Mutex.create ();
+    shared = { lock = Mutex.create (); builts = [] };
+    host = None; device = None }
 
 let front_end fronts (target : target) =
   Mutex.lock fronts.lock;
@@ -150,7 +162,7 @@ let front_end fronts (target : target) =
         Obs.Metrics.incr m_front_hits;
         r
       | None ->
-        let r = run_front_end target fronts.program in
+        let r = run_front_end target fronts in
         (match target with
         | `Host -> fronts.host <- Some r
         | `Device -> fronts.device <- Some r);
@@ -158,35 +170,82 @@ let front_end fronts (target : target) =
 
 (* ------------------------------------------------------------------ *)
 (* Back end: the configuration's pass pipeline over the shared
-   (immutable) lowered IR. Configurations whose effective pipeline and
-   runtime agree get the same output, so each front holds one entry per
-   distinct key: 9 of the 18 configurations at FP64 (10 at FP32, where
-   nvcc's -use_fast_math differs from -O3). *)
+   (immutable) lowered IR, then one flatten per distinct output.
 
-(* Every binary carries its flattened program: the flatten pass runs
-   exactly once per back-end output, so run-many execution never
-   re-walks the tree. *)
+   Two levels of sharing, both confined to one program's [fronts]:
+   configurations whose pipeline and runtime agree run the pipeline once
+   per front (9 of the 18 configurations at FP64, 10 at FP32, where
+   nvcc's -use_fast_math differs from -O3); and pipelines whose outputs
+   are [Identical] with equal runtimes, on either target, share one
+   flattened program — 6.4–6.6 per program on LLM4FP campaigns. *)
+
 let of_ir ~(config : Config.t) ~source ~work ir =
-  { config; source; ir; vm = Irsim.Vm.flatten (Config.runtime config) ir; work }
+  { config; source; ir; vm = Irsim.Vm.flatten (Config.runtime config) ir; work;
+    exec_class = ref () }
 
-let back_key (c : Config.t) : back_key =
-  (c.fold, c.contract, c.fastmath, c.dce, Config.runtime c)
+let same_runtime (a : Irsim.Interp.runtime) (b : Irsim.Interp.runtime) =
+  a.libm == b.libm && Bool.equal a.ftz b.ftz
+  && Bool.equal a.nan_cmp_taken b.nan_cmp_taken
 
-(* The first binary built for [key] on this front. [build] runs outside
-   the lock; when two workers race on one key, the first stored binary
-   wins and the other adopts it, so sharing holds at any job count. *)
-let shared_back_end front key build =
-  let lookup () = List.assoc_opt key front.f_backs in
-  match Mutex.protect front.f_lock lookup with
-  | Some first -> first
-  | None ->
-    let built = build () in
-    Mutex.protect front.f_lock (fun () ->
-        match lookup () with
-        | Some first -> first
-        | None ->
-          front.f_backs <- (key, built) :: front.f_backs;
-          built)
+(* Two configurations build the same back end when everything but their
+   identity agrees: the pass pipeline and the runtime. The fields are
+   immediates, compared as such; fast-math settings are the personality
+   tables, so physical equality almost always decides. *)
+let same_back_end (a : Config.t) (b : Config.t) =
+  Bool.equal a.fold.fold_arith b.fold.fold_arith
+  && Option.equal ( == ) a.fold.fold_calls b.fold.fold_calls
+  && a.contract == b.contract
+  && Option.equal (fun x y -> x == y || x = y) a.fastmath b.fastmath
+  && Bool.equal a.dce b.dce && a.libm == b.libm && Bool.equal a.ftz b.ftz
+  && Bool.equal a.nan_cmp_taken b.nan_cmp_taken
+
+(* The pipeline output stored for [config] in [backs], up to (not
+   including) [stop]. *)
+let rec find_back config ~stop backs =
+  match backs with
+  | (c, built) :: rest when backs != stop ->
+    if same_back_end c config then Some built else find_back config ~stop rest
+  | _ -> None
+
+(* How [ir] under [rt] stands against the outputs in [builts] up to (not
+   including) [stop]: [`Same b] for an [Identical] one, else the class
+   of a [Compare_equal] one if any. Classes are unions under
+   [Stdlib.compare], which is an equivalence, so any member names the
+   class. *)
+let rec classify ir rt ~stop cls (builts : built list) =
+  match builts with
+  | b :: rest when builts != stop ->
+    if not (same_runtime rt b.b_rt) then classify ir rt ~stop cls rest
+    else begin
+      match Irsim.Ir.likeness ir b.b_ir with
+      | Irsim.Ir.Identical -> `Same b
+      | Irsim.Ir.Compare_equal -> classify ir rt ~stop (Some b.b_class) rest
+      | Irsim.Ir.Different -> classify ir rt ~stop cls rest
+    end
+  | _ -> `Class cls
+
+(* The program's output for [ir] under [rt]: an [Identical] one already
+   built, or a new flatten, made outside the lock. Only [Identical]
+   outputs share, so a shared program's contents never depend on which
+   worker built it; when two workers race, the first stored wins and the
+   other adopts it. *)
+let share (shared : shared) ir rt =
+  let seen = Mutex.protect shared.lock (fun () -> shared.builts) in
+  match classify ir rt ~stop:[] None seen with
+  | `Same b -> b
+  | `Class cls ->
+    let vm = Irsim.Vm.flatten rt ir in
+    let work = body_size ir.body in
+    Mutex.protect shared.lock (fun () ->
+        match classify ir rt ~stop:seen cls shared.builts with
+        | `Same b -> b
+        | `Class cls ->
+          let b_class = match cls with Some c -> c | None -> ref () in
+          let b =
+            { b_ir = ir; b_rt = rt; b_vm = vm; b_work = work; b_class }
+          in
+          shared.builts <- b :: shared.builts;
+          b)
 
 (* Fault injection comes first, so a [backend@N] plan hits the N-th
    configuration whether or not its output is shared. Each
@@ -195,12 +254,27 @@ let shared_back_end front key build =
 let back_end (config : Config.t) (front : front) =
   inject_with_retry Exec.Faults.Back_end;
   let applied = Config.effective config front.f_precision in
-  let first =
-    shared_back_end front (back_key applied) (fun () ->
-        let ir = pipeline applied front.f_ir in
-        of_ir ~config:applied ~source:front.f_source ~work:(body_size ir.body) ir)
+  let lock = front.f_shared.lock in
+  let seen = Mutex.protect lock (fun () -> front.f_backs) in
+  let b =
+    match find_back applied ~stop:[] seen with
+    | Some b -> b
+    | None ->
+      let b =
+        share front.f_shared (pipeline applied front.f_ir)
+          (Config.runtime applied)
+      in
+      Mutex.protect lock (fun () ->
+          match find_back applied ~stop:seen front.f_backs with
+          | Some first -> first
+          | None ->
+            front.f_backs <- (applied, b) :: front.f_backs;
+            b)
   in
-  { first with config = applied }
+  { config = applied; source = front.f_source; ir = b.b_ir; vm = b.b_vm;
+    work = b.b_work; exec_class = b.b_class }
+
+let same_exec_class (a : binary) (b : binary) = a.exec_class == b.exec_class
 
 let compile_with fronts (config : Config.t) =
   Obs.Span.with_span "compiler.compile" @@ fun () ->
@@ -244,7 +318,7 @@ let execute binary inputs =
   inject_with_retry Exec.Faults.Execution;
   Irsim.Vm.run binary.vm inputs
 
-let account binary (out : Irsim.Interp.outcome) =
+let account ?hex binary (out : Irsim.Interp.outcome) =
   Obs.Metrics.incr m_runs;
   Obs.Metrics.incr ~by:out.Irsim.Interp.fp_ops m_fp_ops;
   if Obs.Trace.on () then
@@ -253,7 +327,10 @@ let account binary (out : Irsim.Interp.outcome) =
          {
            slot = Obs.Trace.current_slot ();
            config = Config.name binary.config;
-           hex = Fp.Bits.hex_of_double out.Irsim.Interp.result;
+           hex =
+             (match hex with
+             | Some h -> h
+             | None -> Fp.Bits.hex_of_double out.Irsim.Interp.result);
            ops = out.Irsim.Interp.fp_ops;
          })
 

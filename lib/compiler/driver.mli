@@ -28,33 +28,48 @@
     {!Exec.Faults.Transient}. Counted by the [retry.compiler.*]
     metrics. *)
 
+type exec_class
+(** Which binaries of one program {!Difftest.Run} executes as one. *)
+
 type binary = {
   config : Config.t;
   source : string;  (** the exact translation unit that was "compiled" *)
   ir : Irsim.Ir.t;  (** after the pass pipeline *)
   vm : Irsim.Vm.program;
-      (** the flattened program, built once per back-end output; carries
-          the configuration's runtime pre-bound *)
+      (** the flattened program, carrying the runtime pre-bound; one per
+          distinct (IR, runtime) of a program, shared by every binary
+          whose pair is {!Irsim.Ir.Identical} to it *)
   work : int;       (** IR node count, the compile/execute cost proxy *)
+  exec_class : exec_class;
+      (** the binaries of one program whose (IR, runtime) pairs are equal
+          under [Stdlib.compare] — NaN-tolerant, so folded NaN constants
+          still match — see {!same_exec_class} *)
 }
 
 val of_ir :
   config:Config.t -> source:string -> work:int -> Irsim.Ir.t -> binary
 (** Package optimized IR as a binary, flattening it for the VM under
-    [config]'s runtime. The one constructor every binary goes through —
-    keeps hand-built binaries (isolation probes) executable. *)
+    [config]'s runtime, in an execution class of its own. Keeps
+    hand-built binaries (isolation probes) executable. *)
+
+val same_exec_class : binary -> binary -> bool
+(** True when the two binaries come from one program's {!fronts} and
+    their (IR, runtime) pairs are equal under [Stdlib.compare]. Decided
+    when the back ends run, so it costs one physical comparison. *)
 
 type target = [ `Host | `Device ]
 
 type front
 (** A completed front-end pass: the emitted translation unit, its
-    lowered (pre-pipeline) IR, and a mutex-guarded table of the back
-    ends already run on it. Shareable across pool workers. *)
+    lowered (pre-pipeline) IR, and a mutex-guarded table of the
+    pipelines already run on it. Shareable across pool workers. *)
 
 type fronts
-(** Per-program front-end cache, at most one entry per target. Lazy and
-    mutex-guarded: concurrent {!compile_with} calls from pool workers
-    compute each target once and share the result. *)
+(** Per-program front-end cache, at most one entry per target, and the
+    program's flattened back-end outputs, shared by both targets. Lazy
+    and mutex-guarded: concurrent {!compile_with} calls from pool
+    workers compute each target once and share the result. Nothing in
+    it outlives the program's matrix. *)
 
 val fronts : Lang.Ast.program -> fronts
 (** An empty cache for [program]; no front-end work happens yet. *)
@@ -70,10 +85,14 @@ val back_end : Config.t -> front -> binary
 (** The configuration's pass pipeline and flatten over the shared
     front-end IR (which is never mutated). Configurations whose
     effective [fold], [contract], [fastmath], [dce] and runtime agree
-    share one optimized IR and flattened program, computed once per
-    front; each still gets its own [binary] record naming its own
-    configuration, and each passes the [Back_end] fault-injection site
-    before the lookup. *)
+    run the pipeline once per front. Outputs whose IR is
+    {!Irsim.Ir.Identical} and whose runtimes agree, on either target of
+    the program, share one flattened program, so a program pays one
+    flatten per distinct binary; only [Identical] outputs share, so a
+    shared program's contents never depend on which pool worker built
+    it. Each configuration still gets its own [binary] record naming its
+    own configuration, and each passes the [Back_end] fault-injection
+    site before the lookup. *)
 
 val compile_with : fronts -> Config.t -> (binary, string) result
 (** [front_end] + [back_end] with the historic [compile] accounting:
@@ -90,13 +109,14 @@ val execute : binary -> Irsim.Inputs.t -> Irsim.Interp.outcome
 (** Raw execution of [binary.vm] on {!Irsim.Vm.run}: the
     [compiler.interp] span and the fault-injection site, but no metrics
     and no trace event.
-    {!Difftest.Run} uses this to run each deduplicated binary once and
-    then {!account} the outcome to every configuration that shares it. *)
+    {!Difftest.Run} uses this to run one binary per execution class and
+    then {!account} the outcome to every configuration in the class. *)
 
-val account : binary -> Irsim.Interp.outcome -> unit
+val account : ?hex:string -> binary -> Irsim.Interp.outcome -> unit
 (** Book an execution outcome against [binary]'s configuration: the
     [compiler.runs] / [compiler.fp_ops] metrics and (when tracing) an
-    [Executed] event stamped with the caller's slot/lane context. *)
+    [Executed] event stamped with the caller's slot/lane context. [hex]
+    is the result's {!Fp.Bits.hex_of_double}, when the caller has it. *)
 
 val run : binary -> Irsim.Inputs.t -> Irsim.Interp.outcome
 (** [execute] + [account]: the historic one-call entry point. *)

@@ -13,7 +13,14 @@ let is_host = function Gcc | Clang -> true | Nvcc -> false
 
 let pairs = [ (Gcc, Clang); (Gcc, Nvcc); (Clang, Nvcc) ]
 
-let pair_name (a, b) = Printf.sprintf "%s, %s" (name a) (name b)
+let index = function Gcc -> 0 | Clang -> 1 | Nvcc -> 2
+
+let pair_names =
+  Array.map
+    (fun a -> Array.map (fun b -> Printf.sprintf "%s, %s" (name a) (name b)) all)
+    all
+
+let pair_name (a, b) = pair_names.(index a).(index b)
 
 let of_name = function
   | "gcc" -> Some Gcc

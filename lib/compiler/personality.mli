@@ -18,7 +18,10 @@ val pairs : (t * t) list
 (** The three compiler pairs compared by differential testing, in the
     paper's column order: (gcc, clang), (gcc, nvcc), (clang, nvcc). *)
 
+val index : t -> int
+(** Position in {!all}. *)
+
 val pair_name : t * t -> string
-(** e.g. ["gcc, nvcc"]. *)
+(** e.g. ["gcc, nvcc"]; one shared string per pair. *)
 
 val of_name : string -> t option

@@ -56,6 +56,13 @@ let compare_outputs level ((left : output), left_digits)
        else 0);
   }
 
+(* Outputs by configuration: one cell per (personality, level). *)
+let n_levels = Array.length Compiler.Optlevel.all
+
+let cell personality level =
+  (Compiler.Personality.index personality * n_levels)
+  + Compiler.Optlevel.index level
+
 let test ?configs ?(jobs = 1) program inputs =
   let slot = Obs.Trace.current_slot () in
   (* Pool workers re-establish the campaign's slot context so their
@@ -70,47 +77,46 @@ let test ?configs ?(jobs = 1) program inputs =
      record in worker domains and surface as that domain's roots. *)
   let compiled =
     Obs.Span.with_span "difftest.fanout" @@ fun () ->
-    Compiler.Driver.matrix ?configs ~jobs program
+    Array.of_list (Compiler.Driver.matrix ?configs ~jobs program)
   in
+  let n = Array.length compiled in
   (* Phase 2 — deduplicate executions. Configurations whose back ends
-     produced the same (post-pipeline IR, runtime) pair are literally the
-     same binary: one execution serves them all. The key scan is
-     polymorphic [compare] (NaN-tolerant, unlike [=], so folded NaN
-     constants still dedup) over at most |configs| leaders. The first
-     configuration holding a key becomes the group's leader, so grouping
-     is deterministic in configuration order. *)
-  let exec_key (b : Compiler.Driver.binary) =
-    (b.Compiler.Driver.ir, Compiler.Config.runtime b.Compiler.Driver.config)
-  in
-  let leader_of = Array.make (max 1 (List.length compiled)) (-1) in
+     produced (post-pipeline IR, runtime) pairs equal under
+     [Stdlib.compare] (NaN-tolerant, unlike [=], so folded NaN constants
+     still dedup) are the same binary: one execution serves them all.
+     The driver sorted the binaries into these classes as it built
+     them, so a lookup is a physical comparison. The first configuration
+     of a class becomes its leader, so grouping is deterministic in
+     configuration order. *)
+  let leader = Array.make n (-1) in
   let leaders_rev = ref [] in
-  List.iteri
+  Array.iteri
     (fun i r ->
       match r with
       | Either.Right _ -> ()
       | Either.Left (_, binary) -> begin
-        let key = exec_key binary in
         match
           List.find_opt
-            (fun (k, _, _) -> Stdlib.compare k key = 0)
+            (fun (_, b) -> Compiler.Driver.same_exec_class b binary)
             !leaders_rev
         with
-        | Some (_, lane, _) -> leader_of.(i) <- lane
+        | Some (lane, _) -> leader.(i) <- lane
         | None ->
-          leaders_rev := (key, i, binary) :: !leaders_rev;
-          leader_of.(i) <- i
+          leaders_rev := (i, binary) :: !leaders_rev;
+          leader.(i) <- i
       end)
     compiled;
   let leaders = List.rev !leaders_rev in
   (* Phase 3 — one execution per distinct binary, fanned out. Raw
      [execute]: accounting happens per configuration in phase 4. A trap
      (out-of-bounds subscript) is a reportable per-configuration
-     failure, not a crash. *)
+     failure, not a crash. Each outcome's hex encoding and digit
+     decomposition are made once, for every configuration sharing it. *)
   let executed =
     Obs.Span.with_span "difftest.exec" @@ fun () ->
     Obs.Span.settle
       (Exec.Pool.map ~jobs
-         (fun (_, _, binary) ->
+         (fun (_, binary) ->
            Obs.Span.deferred (fun () ->
                in_slot (fun () ->
                    match Compiler.Driver.execute binary inputs with
@@ -119,9 +125,15 @@ let test ?configs ?(jobs = 1) program inputs =
                      Error ("execution trapped: " ^ Irsim.Interp.trap_message t))))
          leaders)
   in
-  let outcome_by_lane = Hashtbl.create 16 in
+  let outcome = Array.make n (Error "") in
   List.iter2
-    (fun (_, lane, _) out -> Hashtbl.replace outcome_by_lane lane out)
+    (fun (lane, _) r ->
+      outcome.(lane) <-
+        Result.map
+          (fun (out : Irsim.Interp.outcome) ->
+            let v = out.Irsim.Interp.result in
+            (out, Fp.Bits.hex_of_double v, Fp.Digits.prepare v))
+          r)
     leaders executed;
   (* Phase 4 — per-configuration accounting, sequential in configuration
      order. Every configuration books its own run — metrics, dedup
@@ -129,50 +141,46 @@ let test ?configs ?(jobs = 1) program inputs =
      configuration's lane at seq 1, the stamp the compile event's lane
      left off at — so outputs, totals, and trace bytes are identical to
      executing each configuration separately. *)
+  let by_cell =
+    Array.make (Array.length Compiler.Personality.all * n_levels) None
+  in
   let outputs, failures =
     let outs = ref [] and fails = ref [] in
-    List.iteri
+    Array.iteri
       (fun i r ->
         match r with
         | Either.Right (config, msg) -> fails := (config, msg) :: !fails
-        | Either.Left (config, binary) -> begin
-          let lane = leader_of.(i) in
-          match Hashtbl.find outcome_by_lane lane with
+        | Either.Left ((config : Compiler.Config.t), binary) -> begin
+          let lane = leader.(i) in
+          match outcome.(lane) with
           | Error msg ->
             fails :=
               (config, Printf.sprintf "%s: %s" (Compiler.Config.name config) msg)
               :: !fails
-          | Ok (out : Irsim.Interp.outcome) ->
+          | Ok (out, hex, digits) ->
             Obs.Metrics.incr
               (if lane = i then m_dedup_misses else m_dedup_hits);
-            in_slot (fun () ->
-                Obs.Trace.with_lane ~seq:1 i (fun () ->
-                    Compiler.Driver.account binary out));
-            outs :=
+            if Obs.Trace.on () then
+              in_slot (fun () ->
+                  Obs.Trace.with_lane ~seq:1 i (fun () ->
+                      Compiler.Driver.account ~hex binary out))
+            else Compiler.Driver.account ~hex binary out;
+            let o =
               {
                 config;
                 value = out.Irsim.Interp.result;
-                hex = Fp.Bits.hex_of_double out.Irsim.Interp.result;
+                hex;
                 ops = out.Irsim.Interp.fp_ops;
                 work = binary.Compiler.Driver.work;
               }
-              :: !outs
+            in
+            outs := o :: !outs;
+            by_cell.(cell config.personality config.level) <- Some (o, digits)
         end)
       compiled;
     (List.rev !outs, List.rev !fails)
   in
-  (* One O(n) pass instead of an O(configs) scan per lookup: the
-     comparison stage below performs 2 lookups per (pair, level) plus 2
-     per (personality, level), which made the old List.find_opt
-     quadratic in the number of configurations. *)
-  let by_config = Hashtbl.create 32 in
-  List.iter
-    (fun o ->
-      Hashtbl.replace by_config
-        (o.config.Compiler.Config.personality, o.config.Compiler.Config.level)
-        (o, Fp.Digits.prepare o.value))
-    outputs;
-  let find personality level = Hashtbl.find_opt by_config (personality, level) in
+  let find personality level = by_cell.(cell personality level) in
   let cross, within =
     Obs.Span.with_span "difftest.compare" @@ fun () ->
     let cross =

@@ -63,12 +63,14 @@ val test :
     the {!Exec.Pool}.
 
     Executions are deduplicated: configurations whose back ends produced
-    the same (post-pipeline IR, runtime) pair share one execution of
-    that binary, and each configuration then books the shared outcome as
-    its own run (metrics, trace event, totals). The
-    [exec.dedup.hits] / [exec.dedup.misses] counters expose the ratio;
-    on the standard matrix the O1/O2/O3 levels of each personality
-    collapse, roughly halving executions.
+    (post-pipeline IR, runtime) pairs equal under [Stdlib.compare] share
+    one execution — the driver sorted them into one
+    {!Compiler.Driver.exec_class} as it built them — and each
+    configuration then books the shared outcome as its own run (metrics,
+    trace event, totals). The outcome's hex encoding is made once per
+    execution. The [exec.dedup.hits] / [exec.dedup.misses] counters
+    expose the ratio; on the standard matrix the O1/O2/O3 levels of each
+    personality collapse, roughly halving executions.
 
     The [result] is identical at any job count; only wall-clock
     changes. Every binary runs on {!Irsim.Vm}, and its outputs are

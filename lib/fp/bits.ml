@@ -21,9 +21,19 @@ let class_rank = function
   | Neg_inf -> 3
   | Nan -> 4
 
-let class_pair_name a b =
-  let a, b = if class_rank a <= class_rank b then (a, b) else (b, a) in
-  Printf.sprintf "{%s, %s}" (class_name a) (class_name b)
+let classes = [| Real; Zero; Pos_inf; Neg_inf; Nan |]
+
+let class_pair_names =
+  Array.map
+    (fun a ->
+      Array.map
+        (fun b ->
+          let a, b = if class_rank a <= class_rank b then (a, b) else (b, a) in
+          Printf.sprintf "{%s, %s}" (class_name a) (class_name b))
+        classes)
+    classes
+
+let class_pair_name a b = class_pair_names.(class_rank a).(class_rank b)
 
 let bits_of_double = Int64.bits_of_float
 let double_of_bits = Int64.float_of_bits

@@ -22,7 +22,7 @@ val class_name : class_ -> string
 
 val class_pair_name : class_ -> class_ -> string
 (** Unordered pair label, e.g. ["{Real, Zero}"]. The order is normalized so
-    [{a,b}] and [{b,a}] render identically. *)
+    [{a,b}] and [{b,a}] render identically; one shared string per pair. *)
 
 val hex_of_double : float -> string
 (** The 16-character lowercase hexadecimal encoding of the 64 bits. *)

@@ -1,12 +1,13 @@
-module Int_set = Set.Make (Int)
-
-type uses = { mutable fslots : Int_set.t; mutable arrs : Int_set.t }
+(* Liveness marks: one flag per float slot and per array, sized from the
+   IR. Every index is in its declared range — lowering allocates them so,
+   and {!Vm.flatten} rejects a program where one is not. *)
+type uses = { fslots : bool array; arrs : bool array }
 
 let rec note_expr u (e : Ir.expr) =
   match e with
   | Ir.Const _ | Ir.Itof _ -> ()
-  | Ir.Load s -> u.fslots <- Int_set.add s u.fslots
-  | Ir.Load_arr (s, _) -> u.arrs <- Int_set.add s u.arrs
+  | Ir.Load s -> u.fslots.(s) <- true
+  | Ir.Load_arr (s, _) -> u.arrs.(s) <- true
   | Ir.Neg e | Ir.Recip e -> note_expr u e
   | Ir.Bin (_, a, b) ->
     note_expr u a;
@@ -30,29 +31,36 @@ let rec note_body u body =
       | Ir.For { body; _ } -> note_body u body)
     body
 
-(* NaN constants make structural equality of bodies unreliable (nan <> nan),
-   so convergence is tracked with an explicit removal counter. *)
-let rec sweep removed live_f live_a comp body =
-  List.filter_map
-    (fun (s : Ir.stmt) ->
-      match s with
-      | Ir.Store (slot, _) ->
-        if slot = comp || Int_set.mem slot live_f then Some s
-        else begin incr removed; None end
-      | Ir.Store_arr (arr, _, _) ->
-        if Int_set.mem arr live_a then Some s
-        else begin incr removed; None end
-      | Ir.If r ->
-        Some (Ir.If { r with body = sweep removed live_f live_a comp r.body })
-      | Ir.For r ->
-        Some (Ir.For { r with body = sweep removed live_f live_a comp r.body }))
-    body
+(* [body] without its dead stores; the very same list when none is
+   dead, so the fixpoint tests convergence physically (structural
+   equality would never converge on NaN constants: nan <> nan). *)
+let rec sweep u comp body =
+  match body with
+  | [] -> body
+  | (s : Ir.stmt) :: rest -> (
+    let rest' = sweep u comp rest in
+    let keep s' = if s' == s && rest' == rest then body else s' :: rest' in
+    match s with
+    | Ir.Store (slot, _) ->
+      if slot = comp || u.fslots.(slot) then keep s else rest'
+    | Ir.Store_arr (arr, _, _) -> if u.arrs.(arr) then keep s else rest'
+    | Ir.If r ->
+      let b = sweep u comp r.body in
+      keep (if b == r.body then s else Ir.If { r with body = b })
+    | Ir.For r ->
+      let b = sweep u comp r.body in
+      keep (if b == r.body then s else Ir.For { r with body = b }))
 
-let rec fixpoint (ir : Ir.t) =
-  let u = { fslots = Int_set.empty; arrs = Int_set.empty } in
-  note_body u ir.body;
-  let removed = ref 0 in
-  let swept = sweep removed u.fslots u.arrs ir.comp_slot ir.body in
-  if !removed = 0 then ir else fixpoint { ir with body = swept }
-
-let run = fixpoint
+let run (ir : Ir.t) =
+  let u =
+    { fslots = Array.make ir.n_fslots false;
+      arrs = Array.make (Array.length ir.arr_lens) false }
+  in
+  let rec fixpoint (ir : Ir.t) =
+    Array.fill u.fslots 0 (Array.length u.fslots) false;
+    Array.fill u.arrs 0 (Array.length u.arrs) false;
+    note_body u ir.body;
+    let swept = sweep u ir.comp_slot ir.body in
+    if swept == ir.body then ir else fixpoint { ir with body = swept }
+  in
+  fixpoint ir

@@ -8,3 +8,6 @@
     pipelines run it, which keeps IR-size statistics honest. *)
 
 val run : Ir.t -> Ir.t
+(** Liveness is marked in flag arrays sized from the IR's slot and
+    array counts. When nothing is dead the result is the input value
+    itself, not a copy. *)

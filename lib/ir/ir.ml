@@ -43,6 +43,106 @@ let rec expr_size = function
 
 let equal (a : t) (b : t) = a = b
 
+type likeness = Identical | Compare_equal | Different
+
+(* One walk decides both equalities. Operators, slots and lengths are
+   immediates compared as such; a float pair that differs in bits but
+   not under [Float.compare] (two NaNs, or 0.0 and -0.0) demotes the
+   verdict to [Compare_equal], any other difference stops the walk.
+   Physically equal subtrees are skipped. *)
+exception Differ
+
+let likeness (a : t) (b : t) =
+  let loose = ref false in
+  let int (x : int) y = if x <> y then raise Differ in
+  let const x y =
+    if not (Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y)) then
+      if Float.compare x y = 0 then loose := true else raise Differ
+  in
+  let rec list f xs ys =
+    if xs != ys then
+      match (xs, ys) with
+      | x :: xs, y :: ys ->
+        f x y;
+        list f xs ys
+      | _ -> raise Differ
+  in
+  let rec iexpr x y =
+    if x != y then
+      match (x, y) with
+      | Iconst m, Iconst n | Iload m, Iload n -> int m n
+      | Ineg x, Ineg y -> iexpr x y
+      | Ibin (o, x1, x2), Ibin (p, y1, y2) ->
+        if o != p then raise Differ;
+        iexpr x1 y1;
+        iexpr x2 y2
+      | _ -> raise Differ
+  in
+  let rec expr x y =
+    if x != y then
+      match (x, y) with
+      | Const u, Const v -> const u v
+      | Load m, Load n -> int m n
+      | Load_arr (m, i), Load_arr (n, j) ->
+        int m n;
+        iexpr i j
+      | Itof i, Itof j -> iexpr i j
+      | Neg x, Neg y | Recip x, Recip y -> expr x y
+      | Bin (o, x1, x2), Bin (p, y1, y2) ->
+        if o != p then raise Differ;
+        expr x1 y1;
+        expr x2 y2
+      | Call (f, xs), Call (g, ys) ->
+        if f != g then raise Differ;
+        list expr xs ys
+      | Fma (x1, x2, x3), Fma (y1, y2, y3) ->
+        expr x1 y1;
+        expr x2 y2;
+        expr x3 y3
+      | _ -> raise Differ
+  in
+  let rec stmt x y =
+    if x != y then
+      match (x, y) with
+      | Store (m, e), Store (n, f) ->
+        int m n;
+        expr e f
+      | Store_arr (m, i, e), Store_arr (n, j, f) ->
+        int m n;
+        iexpr i j;
+        expr e f
+      | If r, If q ->
+        if r.cmp != q.cmp then raise Differ;
+        expr r.lhs q.lhs;
+        expr r.rhs q.rhs;
+        list stmt r.body q.body
+      | For r, For q ->
+        int r.islot q.islot;
+        int r.bound q.bound;
+        list stmt r.body q.body
+      | _ -> raise Differ
+  in
+  let binding x y =
+    match (x, y) with
+    | Bind_fp m, Bind_fp n | Bind_int m, Bind_int n -> int m n
+    | Bind_arr (m, k), Bind_arr (n, l) ->
+      int m n;
+      int k l
+    | _ -> raise Differ
+  in
+  match
+    if a.precision != b.precision then raise Differ;
+    int a.n_fslots b.n_fslots;
+    int a.n_islots b.n_islots;
+    int a.comp_slot b.comp_slot;
+    int (Array.length a.arr_lens) (Array.length b.arr_lens);
+    Array.iter2 int a.arr_lens b.arr_lens;
+    list binding a.bindings b.bindings;
+    list stmt a.body b.body
+  with
+  | () -> if !loose then Compare_equal else Identical
+  | exception Differ -> Different
+
 let rec pp_iexpr fmt = function
   | Iconst n -> Format.pp_print_int fmt n
   | Iload s -> Format.fprintf fmt "i%d" s

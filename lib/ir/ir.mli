@@ -58,6 +58,18 @@ val expr_size : expr -> int
 
 val equal : t -> t -> bool
 
+type likeness =
+  | Identical  (** equal, every float constant bit for bit *)
+  | Compare_equal
+      (** equal under [Stdlib.compare] only: some constants differ as
+          NaN payloads or as the signs of zeros *)
+  | Different
+
+val likeness : t -> t -> likeness
+(** Both equalities in one walk: [likeness a b <> Different] exactly
+    when [Stdlib.compare a b = 0], and [Identical] when in addition no
+    float constant differs in its bits. *)
+
 val pp_expr : Format.formatter -> expr -> unit
 val pp : Format.formatter -> t -> unit
 (** Debug printer (not valid C). *)

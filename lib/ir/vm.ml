@@ -462,15 +462,20 @@ let flatten (rt : Interp.runtime) (ir : Ir.t) =
     nan_cmp_taken = rt.Interp.nan_cmp_taken;
   }
 
-(* The inner loop. Every register index in [code] was placed by
+(* The inner loops. Every register index in [code] was placed by
    [flatten] inside the file it sized, so register and code accesses
    are unsafe; only data-dependent array subscripts keep a check, which
-   raises the same {!Interp.Trap} as the reference engine. Flush and
-   precision are applied exactly where the tree interpreter applies
-   them: operands of arithmetic and calls are flushed on read, results
-   are flushed after rounding; moves, negation, and int->float
-   conversion copy raw bits. Only the libm kernels allocate: a closure
-   call boxes its argument and result. *)
+   raises the same {!Interp.Trap} as the reference engine. Only the libm
+   kernels allocate: a closure call boxes its argument and result.
+
+   [exec] serves every program. Flush and precision are applied exactly
+   where the tree interpreter applies them: operands of arithmetic and
+   calls are flushed on read, results are flushed after rounding;
+   moves, negation, and int->float conversion copy raw bits.
+
+   [exec_plain] serves the common case, an FP64 program without FTZ,
+   where flush and rounding are the identity: it is [exec] with both
+   steps left out. Keep the two loops in step. *)
 let exec p (f : float array) (ints : int array) (arrs : float array array) =
   let code = p.code in
   let stop = Array.length code in
@@ -560,6 +565,83 @@ let exec p (f : float array) (ints : int array) (arrs : float array array) =
   done;
   !ops
 
+let exec_plain p (f : float array) (ints : int array)
+    (arrs : float array array) =
+  let code = p.code in
+  let stop = Array.length code in
+  let nan_taken = p.nan_cmp_taken in
+  let ops = ref 0 in
+  let pc = ref 0 in
+  while !pc < stop do
+    let ins = Array.unsafe_get code !pc in
+    incr pc;
+    match ins with
+    | Fmov (d, s) -> Array.unsafe_set f d (Array.unsafe_get f s)
+    | Load_arr (d, id, ki) ->
+      let arr = Array.unsafe_get arrs id in
+      let k = Array.unsafe_get ints ki in
+      check_bounds id k (Array.length arr);
+      Array.unsafe_set f d (Array.unsafe_get arr k)
+    | Itof (d, s) ->
+      Array.unsafe_set f d (float_of_int (Array.unsafe_get ints s))
+    | Fneg (d, s) -> Array.unsafe_set f d (-.Array.unsafe_get f s)
+    | Fadd (d, a, b) ->
+      incr ops;
+      Array.unsafe_set f d (Array.unsafe_get f a +. Array.unsafe_get f b)
+    | Fsub (d, a, b) ->
+      incr ops;
+      Array.unsafe_set f d (Array.unsafe_get f a -. Array.unsafe_get f b)
+    | Fmul (d, a, b) ->
+      incr ops;
+      Array.unsafe_set f d (Array.unsafe_get f a *. Array.unsafe_get f b)
+    | Fdiv (d, a, b) ->
+      incr ops;
+      Array.unsafe_set f d (Array.unsafe_get f a /. Array.unsafe_get f b)
+    | Call1 (_, kernel, d, a) ->
+      incr ops;
+      Array.unsafe_set f d (kernel (Array.unsafe_get f a))
+    | Call2 (_, kernel, d, a, b) ->
+      incr ops;
+      Array.unsafe_set f d (kernel (Array.unsafe_get f a) (Array.unsafe_get f b))
+    | Fma (d, a, b, c) ->
+      incr ops;
+      Array.unsafe_set f d
+        (Fp.Fma.contract (Array.unsafe_get f a) (Array.unsafe_get f b)
+           (Array.unsafe_get f c))
+    | Recip (d, s) ->
+      incr ops;
+      Array.unsafe_set f d (1.0 /. Array.unsafe_get f s)
+    | Iconst (d, v) -> Array.unsafe_set ints d v
+    | Ineg (d, s) -> Array.unsafe_set ints d (-Array.unsafe_get ints s)
+    | Iadd (d, a, b) ->
+      Array.unsafe_set ints d (Array.unsafe_get ints a + Array.unsafe_get ints b)
+    | Isub (d, a, b) ->
+      Array.unsafe_set ints d (Array.unsafe_get ints a - Array.unsafe_get ints b)
+    | Imul (d, a, b) ->
+      Array.unsafe_set ints d (Array.unsafe_get ints a * Array.unsafe_get ints b)
+    | Idiv (d, a, b) ->
+      Array.unsafe_set ints d (Array.unsafe_get ints a / Array.unsafe_get ints b)
+    | Iaddi (d, s, imm) ->
+      Array.unsafe_set ints d (Array.unsafe_get ints s + imm)
+    | Check_arr (id, ki) ->
+      check_bounds id (Array.unsafe_get ints ki)
+        (Array.length (Array.unsafe_get arrs id))
+    | Store_arr (id, ki, v) ->
+      let k = Array.unsafe_get ints ki in
+      (* already bounds-checked by the paired Check_arr *)
+      Array.unsafe_set (Array.unsafe_get arrs id) k (Array.unsafe_get f v)
+    | Branch (cmp, la, ra, target) ->
+      if not (taken nan_taken cmp (Array.unsafe_get f la) (Array.unsafe_get f ra))
+      then pc := target
+    | Loop (slot, bound, back) ->
+      let k = Array.unsafe_get ints slot + 1 in
+      if k < bound then begin
+        Array.unsafe_set ints slot k;
+        pc := back
+      end
+  done;
+  !ops
+
 let run p (inputs : Inputs.t) =
   if List.length inputs <> List.length p.bindings then
     invalid_arg "Vm.run: input arity mismatch";
@@ -586,5 +668,7 @@ let run p (inputs : Inputs.t) =
       | _ -> invalid_arg "Vm.run: input kind mismatch")
     p.bindings inputs;
   f.(p.comp_slot) <- 0.0;
-  let ops = exec p f ints arrs in
+  let ops =
+    if p.ftz || p.f32 then exec p f ints arrs else exec_plain p f ints arrs
+  in
   { Interp.result = f.(p.comp_slot); fp_ops = ops }

@@ -22,10 +22,17 @@
     except for data-dependent array subscripts (which raise the same
     {!Interp.Trap} as the reference engine).
 
+    Two loops execute the flat code. The general one applies flush and
+    rounding where the tree interpreter does; the other, for programs
+    with FTZ off at FP64 — the common case, where both steps are the
+    identity — leaves them out. {!run} picks the loop from the
+    program's own runtime and precision; there is no option.
+
     Every compiled binary runs on this engine; {!Interp} stays as the
-    reference it is checked against. Results are bit-exact with
+    reference it is checked against. Both loops are bit-exact with
     {!Interp.run} — same values, same [fp_ops] — which the [vm-equiv]
-    property suite and the harness campaign check enforce. *)
+    property suite (every configuration, at FP64 and FP32, so both
+    loops) and the harness campaign check enforce. *)
 
 type program
 (** A flattened, runtime-bound program, ready to execute many times. *)
@@ -45,6 +52,8 @@ val disasm : program -> string list
     and diagnostics). *)
 
 val run : program -> Inputs.t -> Interp.outcome
-(** Execute one input vector in fresh register storage. Raises
+(** Execute one input vector in fresh register storage, on the plain
+    loop when the program has FTZ off and FP64 precision, else on the
+    general one. Raises
     [Invalid_argument] on an input vector that does not match the
     program's bindings, {!Interp.Trap} on an out-of-bounds subscript. *)

@@ -2,9 +2,10 @@
 
    Cells live in a hashtable keyed by the rendered-name tuple; every
    listing sorts by key, so hash order never leaks into output. The
-   rolling window is a newest-first list of (sim_s, strategy, novel)
+   rolling window is an oldest-first queue of (sim_s, strategy, novel)
    hit records pruned on each [record] — recordings arrive in
-   nondecreasing simulated time, so pruning as we go keeps exactly the
+   nondecreasing simulated time, so the expired hits are always at the
+   front, each is dropped once, and pruning as we go keeps exactly the
    entries a from-scratch replay would keep. That makes the serialized
    snapshot a complete continuation state: a ledger restored from
    [of_json] records onwards byte-identically to the original. *)
@@ -23,7 +24,7 @@ type hit = { h_sim_s : float; h_strategy : string; h_novel : bool }
 type t = {
   w : float;
   tbl : (key, cell) Hashtbl.t;
-  mutable recent : hit list; (* newest first *)
+  recent : hit Queue.t; (* oldest first *)
   mutable last_novel : float;
   mutable total_hits : int;
 }
@@ -32,14 +33,22 @@ let default_window = 600.0
 
 let create ?(window = default_window) () =
   if window <= 0.0 then invalid_arg "Coverage.create: window must be positive";
-  { w = window; tbl = Hashtbl.create 64; recent = []; last_novel = 0.0;
-    total_hits = 0 }
+  { w = window; tbl = Hashtbl.create 64; recent = Queue.create ();
+    last_novel = 0.0; total_hits = 0 }
 
 let window t = t.w
 
+(* Drop the hits that are not newer than [since]: a prefix of the
+   queue, since hits arrive in nondecreasing simulated time. *)
+let rec prune q since =
+  match Queue.peek_opt q with
+  | Some h when not (h.h_sim_s > since) ->
+    ignore (Queue.take q);
+    prune q since
+  | _ -> ()
+
 let record t ~slot ~strategy ~sim_s key =
-  t.recent <-
-    List.filter (fun h -> h.h_sim_s > sim_s -. t.w) t.recent;
+  prune t.recent (sim_s -. t.w);
   t.total_hits <- t.total_hits + 1;
   let novel = not (Hashtbl.mem t.tbl key) in
   (if novel then begin
@@ -50,8 +59,7 @@ let record t ~slot ~strategy ~sim_s key =
    else
      let c = Hashtbl.find t.tbl key in
      Hashtbl.replace t.tbl key { c with hits = c.hits + 1 });
-  t.recent <-
-    { h_sim_s = sim_s; h_strategy = strategy; h_novel = novel } :: t.recent;
+  Queue.add { h_sim_s = sim_s; h_strategy = strategy; h_novel = novel } t.recent;
   novel
 
 let find t key = Hashtbl.find_opt t.tbl key
@@ -78,7 +86,11 @@ type strategy_rate = {
 }
 
 let strategy_rates t ~now =
-  let live = List.filter (fun h -> h.h_sim_s > now -. t.w) t.recent in
+  let live =
+    Queue.fold
+      (fun acc h -> if h.h_sim_s > now -. t.w then h :: acc else acc)
+      [] t.recent
+  in
   let names =
     List.sort_uniq String.compare (List.map (fun h -> h.h_strategy) live)
   in
@@ -145,12 +157,18 @@ let merge a b =
   in
   add_cells a;
   add_cells b;
-  let hits = List.sort compare_hit (a.recent @ b.recent) in
+  let hits =
+    List.sort compare_hit
+      (List.of_seq (Seq.append (Queue.to_seq a.recent) (Queue.to_seq b.recent)))
+  in
   (* Re-prune against the merged frontier: the window ends at the
      newest hit either side has seen. Pruning against the running max
      commutes with union, which keeps the merge associative. *)
   let now = match hits with [] -> 0.0 | h :: _ -> h.h_sim_s in
-  let recent = List.filter (fun h -> h.h_sim_s > now -. w) hits in
+  let recent = Queue.create () in
+  List.iter
+    (fun h -> if h.h_sim_s > now -. w then Queue.add h recent)
+    (List.rev hits);
   {
     w;
     tbl;
@@ -188,7 +206,8 @@ let to_json t =
       ("last_novel", Json.Float t.last_novel);
       ("total_hits", Json.Int t.total_hits);
       ("cells", Json.List (List.map cell_to_json (cells t)));
-      ("recent", Json.List (List.rev_map hit_to_json t.recent)) ]
+      ("recent",
+       Json.List (List.of_seq (Seq.map hit_to_json (Queue.to_seq t.recent)))) ]
 
 let ( let* ) = Result.bind
 
@@ -257,9 +276,19 @@ let of_json json =
   let* total_hits = int "total_hits" json in
   let* cell_list = list_field "cells" cell_of_json json in
   let* recent = list_field "recent" hit_of_json json in
+  (* [record] prunes the window from its oldest end, which needs the
+     hits in the order [to_json] writes them *)
+  let* () =
+    let rec oldest_first = function
+      | a :: (b :: _ as rest) -> a.h_sim_s <= b.h_sim_s && oldest_first rest
+      | _ -> true
+    in
+    if oldest_first recent then Ok ()
+    else err "field \"recent\" is not in time order"
+  in
   let t =
-    { w; tbl = Hashtbl.create 64; recent = List.rev recent; last_novel;
-      total_hits }
+    { w; tbl = Hashtbl.create 64; recent = Queue.of_seq (List.to_seq recent);
+      last_novel; total_hits }
   in
   let* () =
     List.fold_left

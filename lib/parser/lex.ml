@@ -152,15 +152,19 @@ let keywords =
     "const"; "sizeof"; "__global__"; "printf"; "atof"; "atoi"; "main";
     "compute" ]
 
+(* String-keyed, so a lookup hashes and compares strings directly
+   instead of through the polymorphic primitives. *)
+module String_table = Hashtbl.Make (String)
+
 let keyword_table =
-  let tbl = Hashtbl.create 64 in
-  List.iter (fun k -> Hashtbl.replace tbl k ()) keywords;
+  let tbl = String_table.create 64 in
+  List.iter (fun k -> String_table.replace tbl k ()) keywords;
   Array.iter
-    (fun fn -> Hashtbl.replace tbl (Lang.Ast.math_fn_name fn) ())
+    (fun fn -> String_table.replace tbl (Lang.Ast.math_fn_name fn) ())
     Lang.Ast.all_math_fns;
   tbl
 
-let is_keyword s = Hashtbl.mem keyword_table s
+let is_keyword s = String_table.mem keyword_table s
 
 (* The runtime primitive [Printf.sprintf "%.17g"] calls, without the
    format interpretation (as [Lang.Pp] does for its literals). *)

@@ -441,6 +441,56 @@ let vm_equiv =
         && tree.Irsim.Interp.fp_ops = vm.Irsim.Interp.fp_ops)
 
 (* ------------------------------------------------------------------ *)
+(* Binary sharing *)
+
+(* A generated case at either precision. Differential testing shares one
+   flattened program and one execution among the configurations of a
+   program whose back ends agree; each configuration's output must still
+   be what its own binary prints when compiled and run alone. *)
+let precision_case =
+  {
+    Engine.gen =
+      (fun rng ->
+        let p, inputs = Arb.case.Engine.gen rng in
+        let precision = if Util.Rng.bool rng then Lang.Ast.F32 else Lang.Ast.F64 in
+        ({ p with Lang.Ast.precision }, inputs));
+    shrink = Arb.case.Engine.shrink;
+    print = Arb.case.Engine.print;
+  }
+
+let shared_binary_equiv =
+  make_suite "shared-binary-equiv"
+    "every configuration's differential-testing output equals a fresh, \
+     unshared compile and run of that configuration"
+    precision_case
+    (fun (p, inputs) ->
+      let result = Difftest.Run.test ~configs:vm_configs p inputs in
+      List.for_all
+        (fun (config : Compiler.Config.t) ->
+          let shared =
+            List.find_opt
+              (fun (o : Difftest.Run.output) ->
+                o.config.personality = config.personality
+                && o.config.level = config.level)
+              result.Difftest.Run.outputs
+          in
+          let fresh =
+            match Compiler.Driver.compile config p with
+            | Error _ -> None
+            | Ok binary -> (
+              match Compiler.Driver.run binary inputs with
+              | out -> Some (out, binary.Compiler.Driver.work)
+              | exception Irsim.Interp.Trap _ -> None)
+          in
+          match (shared, fresh) with
+          | None, None -> true
+          | Some o, Some ((out : Irsim.Interp.outcome), work) ->
+            o.hex = Fp.Bits.hex_of_double out.result
+            && o.ops = out.fp_ops && o.work = work
+          | _ -> false)
+        vm_configs)
+
+(* ------------------------------------------------------------------ *)
 (* Fleet merge laws *)
 
 (* A fixed pool of completed chunk outcomes, built once per process:
@@ -579,6 +629,7 @@ let all =
     codebleu_symmetric;
     multiset_equiv;
     vm_equiv;
+    shared_binary_equiv;
     fleet_merge;
   ]
 

@@ -81,6 +81,28 @@ let run_traced_campaign ?(budget = 20) ?(jobs = 1) ?(seed = 20250704)
   in
   (outcome, trace, arch)
 
+(* Damage a checkpoint file the way a bad byte can without breaking
+   its JSON: line 2 holds the LLM session, and its first stored skeleton
+   gets a second opening parenthesis after [void compute], so it no
+   longer parses. *)
+let break_first_skeleton path =
+  let lines = String.split_on_char '\n' (read_file path) in
+  let needle = "void compute" in
+  let break line =
+    let n = String.length needle in
+    let rec find i =
+      if i + n > String.length line then Alcotest.fail "no skeleton to break"
+      else if String.sub line i n = needle then i + n
+      else find (i + 1)
+    in
+    let at = find 0 in
+    String.sub line 0 at ^ "(" ^ String.sub line at (String.length line - at)
+  in
+  let oc = open_out_bin path in
+  output_string oc
+    (String.concat "\n" (List.mapi (fun i l -> if i = 1 then break l else l) lines));
+  close_out oc
+
 (* ------------------------------------------------------------------ *)
 (* Golden files *)
 

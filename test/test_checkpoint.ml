@@ -186,6 +186,31 @@ let test_checkpoint_load_errors () =
     check_bool "truncation diagnosed" true
       (String.length msg > 0)
 
+(* Resume re-parses the LLM session's skeletons and the grow arm's seed
+   pool; damage to either is a load error naming the file and line, never
+   a failure after [load] accepted the file. *)
+let test_load_rejects_unparseable_sources () =
+  with_tmpdir ~prefix:"llm4fp-ckpt-src" @@ fun dir ->
+  ignore
+    (Harness.Campaign.run ~budget:30 ~checkpoint:(dir, 10) ~seed:4242
+       Harness.Approach.Llm4fp);
+  let path = Checkpoint.path ~dir in
+  let snap =
+    match Checkpoint.load ~dir with Ok s -> s | Error msg -> Alcotest.fail msg
+  in
+  let located line msg =
+    Util.Text.contains_sub msg (Printf.sprintf "%s: line %d:" path line)
+  in
+  Checkpoint.write ~dir { snap with Checkpoint.grow_seeds = [ "void compute(" ] };
+  (match Checkpoint.load ~dir with
+  | Ok _ -> Alcotest.fail "loaded an unparseable grow seed"
+  | Error msg -> check_bool ("grow seed located: " ^ msg) true (located 1 msg));
+  Checkpoint.write ~dir snap;
+  break_first_skeleton path;
+  match Checkpoint.load ~dir with
+  | Ok _ -> Alcotest.fail "loaded an unparseable skeleton"
+  | Error msg -> check_bool ("skeleton located: " ^ msg) true (located 2 msg)
+
 let test_resume_mismatch () =
   with_tmpdir ~prefix:"llm4fp-ckpt-mismatch" @@ fun dir ->
   ignore
@@ -454,6 +479,8 @@ let () =
           Alcotest.test_case "write/load round-trip" `Quick
             test_checkpoint_roundtrip;
           Alcotest.test_case "load errors" `Quick test_checkpoint_load_errors;
+          Alcotest.test_case "unparseable stored sources" `Quick
+            test_load_rejects_unparseable_sources;
           Alcotest.test_case "resume mismatch rejected" `Quick
             test_resume_mismatch;
         ] );

@@ -75,6 +75,29 @@ let test_matrix_file_is_directory () =
     (contains err "cannot read source file"
     && List.length (String.split_on_char '\n' (String.trim err)) = 1)
 
+(* A checkpoint whose stored skeleton no longer parses is refused at
+   --resume with one located stderr line and exit 1, before the campaign
+   starts, instead of an uncaught exception. *)
+let test_resume_unparseable_skeleton () =
+  with_tmpdir @@ fun dir ->
+  let code, _, err =
+    run
+      (Printf.sprintf
+         "campaign llm4fp -b 30 -s 4242 --checkpoint %s --checkpoint-every 10"
+         (Filename.quote dir))
+  in
+  check_int ("checkpointed campaign exits 0: " ^ err) 0 code;
+  let path = Checkpoint.path ~dir in
+  break_first_skeleton path;
+  let code, out, err =
+    run (Printf.sprintf "campaign llm4fp --resume %s" (Filename.quote dir))
+  in
+  check_int "exit 1" 1 code;
+  check_string "nothing printed" "" out;
+  check_bool ("one located line: " ^ err) true
+    (contains err (path ^ ": line 2:")
+    && List.length (String.split_on_char '\n' (String.trim err)) = 1)
+
 let subcommands =
   [ "generate"; "matrix"; "campaign"; "fleet"; "merge"; "tables"; "corpus";
     "ablation"; "precision"; "profile"; "explain"; "fuzz"; "dashboard";
@@ -506,6 +529,8 @@ let () =
           Alcotest.test_case "help renders cleanly" `Quick test_help_plain;
           Alcotest.test_case "matrix: -f directory" `Quick
             test_matrix_file_is_directory;
+          Alcotest.test_case "resume: unparseable skeleton" `Quick
+            test_resume_unparseable_skeleton;
         ] );
       ( "watch",
         [

@@ -230,6 +230,58 @@ let test_exec_dedup_metrics () =
   check_bool "some configurations share an execution" true (dh > 0);
   check_bool "at least one distinct execution" true (dm > 0)
 
+(* Only ablation matrices give a device binary the host's runtime; such a
+   binary must share its execution class with the host binaries of equal
+   (IR, runtime), so the dedup split still counts one miss per class
+   under [Stdlib.compare], across both targets. *)
+let test_exec_dedup_across_targets () =
+  let configs =
+    (List.find
+       (fun (v : Harness.Ablation.variant) -> v.name = "no-cuda-libm")
+       (Harness.Ablation.variants ()))
+      .configs
+  in
+  let p = parse chaotic in
+  let binaries =
+    List.filter_map
+      (function Either.Left (_, b) -> Some b | Either.Right _ -> None)
+      (Compiler.Driver.matrix ~configs p)
+  in
+  let pair (b : Compiler.Driver.binary) =
+    (b.ir, Compiler.Config.runtime b.config)
+  in
+  let classes =
+    List.fold_left
+      (fun acc b ->
+        if List.exists (fun k -> compare k (pair b) = 0) acc then acc
+        else pair b :: acc)
+      [] binaries
+  in
+  List.iter
+    (fun (a : Compiler.Driver.binary) ->
+      List.iter
+        (fun (b : Compiler.Driver.binary) ->
+          check_bool "one class exactly when the pairs are equal"
+            (compare (pair a) (pair b) = 0)
+            (Compiler.Driver.same_exec_class a b))
+        binaries)
+    binaries;
+  check_bool "a device binary shares a host binary's class" true
+    (List.exists
+       (fun (d : Compiler.Driver.binary) ->
+         d.config.personality = Compiler.Personality.Nvcc
+         && List.exists
+              (fun (h : Compiler.Driver.binary) ->
+                Compiler.Personality.is_host h.config.personality
+                && Compiler.Driver.same_exec_class d h)
+              binaries)
+       binaries);
+  let misses = Obs.Metrics.counter "exec.dedup.misses" in
+  let m0 = Obs.Metrics.counter_value misses in
+  ignore (Difftest.Run.test ~configs p Irsim.Inputs.[ Fp 1.0; Fp 2.0 ]);
+  check_int "one execution per class" (List.length classes)
+    (Obs.Metrics.counter_value misses - m0)
+
 let test_pair_index () =
   check_int "gcc-clang first" 0
     (Difftest.Stats.pair_index (Compiler.Personality.Gcc, Compiler.Personality.Clang));
@@ -294,6 +346,8 @@ let () =
           Alcotest.test_case "idempotent" `Quick test_run_idempotent;
           Alcotest.test_case "custom config list" `Quick test_custom_config_list;
           Alcotest.test_case "exec dedup metrics" `Quick test_exec_dedup_metrics;
+          Alcotest.test_case "exec dedup across targets" `Quick
+            test_exec_dedup_across_targets;
           Alcotest.test_case "coverage keys" `Quick test_coverage_keys;
         ] );
       ( "stats",

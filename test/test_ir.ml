@@ -175,8 +175,9 @@ let vm_runtimes =
         ftz = true;
         nan_cmp_taken = true } ) ]
 
-(* loops, array read/write, divergent branches, a libm call, and a
-   subnormal constant so FTZ runtimes exercise the flush paths *)
+(* loops, array read/write, divergent branches, a libm call, a
+   division fast math turns into a reciprocal, and a subnormal constant
+   so FTZ runtimes exercise the flush paths *)
 let vm_rich_src = {|
 void compute(double x, double* a) {
   double comp = 0.0;
@@ -188,7 +189,7 @@ void compute(double x, double* a) {
     }
     comp += sin(a[i] + t);
   }
-  comp = comp * x - t;
+  comp = comp * x - t / x;
 }
 |}
 
@@ -197,23 +198,44 @@ let vm_rich_inputs k =
     [ Fp (0.25 +. (0.5 *. float_of_int k));
       Arr (Array.init 8 (fun i -> float_of_int ((i + k) mod 5) /. 3.0)) ]
 
+(* Each runtime over the lowered program and two optimized forms, so
+   both VM loops meet FMA and reciprocal instructions: the plain loop
+   (strict and finite-math runtimes, FP64) and the flushing one. *)
 let test_vm_matches_tree_all_runtimes () =
-  let ir = Irsim.Lower.program (parse vm_rich_src) in
+  let lowered = Irsim.Lower.program (parse vm_rich_src) in
+  let contracted = Irsim.Contract.run Irsim.Contract.Syntactic lowered in
+  let forms =
+    [ ("lowered", lowered);
+      ("contracted", contracted);
+      ("fast-math", Irsim.Fastmath.run Irsim.Fastmath.gcc contracted) ]
+  in
   List.iter
-    (fun (name, rt) ->
-      let vm = Irsim.Vm.flatten rt ir in
-      check_bool (name ^ ": nonempty code") true (Irsim.Vm.code_size vm > 0);
-      check_int (name ^ ": disasm covers code")
-        (Irsim.Vm.code_size vm)
-        (List.length (Irsim.Vm.disasm vm));
-      for k = 0 to 4 do
-        let inputs = vm_rich_inputs k in
-        same_outcome
-          (Printf.sprintf "%s[%d]" name k)
-          (Irsim.Interp.run rt ir inputs)
-          (Irsim.Vm.run vm inputs)
-      done)
-    vm_runtimes
+    (fun (form, ir) ->
+      List.iter
+        (fun (rt_name, rt) ->
+          let name = form ^ "/" ^ rt_name in
+          let vm = Irsim.Vm.flatten rt ir in
+          check_bool (name ^ ": nonempty code") true (Irsim.Vm.code_size vm > 0);
+          check_int (name ^ ": disasm covers code")
+            (Irsim.Vm.code_size vm)
+            (List.length (Irsim.Vm.disasm vm));
+          for k = 0 to 4 do
+            let inputs = vm_rich_inputs k in
+            same_outcome
+              (Printf.sprintf "%s[%d]" name k)
+              (Irsim.Interp.run rt ir inputs)
+              (Irsim.Vm.run vm inputs)
+          done)
+        vm_runtimes)
+    forms;
+  let has op ir =
+    List.exists
+      (fun line -> Util.Text.contains_sub line op)
+      (Irsim.Vm.disasm (Irsim.Vm.flatten strict_rt ir))
+  in
+  check_bool "an fma to execute" true (has " fma " contracted);
+  check_bool "a reciprocal to execute" true
+    (has " recip " (List.assoc "fast-math" forms))
 
 let test_vm_divergent_branches () =
   (* inputs fall on both sides of the branch (and some hit the NaN
@@ -576,6 +598,28 @@ let test_dce_terminates_on_nan_consts () =
   let swept = Irsim.Dce.run ir in
   check_int "dead NaN store removed, comp kept" 1 (List.length swept.Irsim.Ir.body)
 
+(* When nothing is dead the pass hands back its input itself, so a
+   pipeline that runs it allocates nothing for a clean program. *)
+let test_dce_returns_input_when_clean () =
+  let ir = Irsim.Lower.program (parse {|
+void compute(double x) {
+  double comp = 0.0;
+  double a = x * 2.0;
+  comp = a;
+}
+|}) in
+  check_bool "clean program returned as is" true (Irsim.Dce.run ir == ir);
+  let dirty = Irsim.Lower.program (parse {|
+void compute(double x) {
+  double comp = 0.0;
+  double dead = x * 3.0;
+  comp = x;
+}
+|}) in
+  let swept = Irsim.Dce.run dirty in
+  check_bool "a swept program is a new value" true (swept != dirty);
+  check_bool "sweeping it again returns it" true (Irsim.Dce.run swept == swept)
+
 let qcheck_dce_value_preserving =
   QCheck.Test.make ~name:"DCE preserves the printed result" ~count:200
     arbitrary_case (fun (p, inputs) ->
@@ -622,6 +666,59 @@ let qcheck_contract_then_fastmath_stable =
       let r2 = (Irsim.Interp.run strict_rt twice inputs).Irsim.Interp.result in
       Int64.bits_of_float r1 = Int64.bits_of_float r2
       || (Float.is_nan r1 && Float.is_nan r2))
+
+(* ------------------------------------------------------------------ *)
+(* Likeness *)
+
+let one_store v =
+  { Irsim.Ir.precision = Ast.F64;
+    n_fslots = 1;
+    n_islots = 0;
+    arr_lens = [||];
+    bindings = [];
+    body = [ Irsim.Ir.Store (0, Irsim.Ir.Const v) ];
+    comp_slot = 0 }
+
+let test_likeness_floats () =
+  let verdict a b = Irsim.Ir.likeness (one_store a) (one_store b) in
+  let check label want got = check_bool label true (want = got) in
+  check "same constant" Irsim.Ir.Identical (verdict 1.5 1.5);
+  check "same NaN" Irsim.Ir.Identical (verdict Float.nan Float.nan);
+  check "NaN signs" Irsim.Ir.Compare_equal (verdict Float.nan (-.Float.nan));
+  check "zero signs" Irsim.Ir.Compare_equal (verdict 0.0 (-0.0));
+  check "values" Irsim.Ir.Different (verdict 1.0 2.0);
+  check "NaN and a number" Irsim.Ir.Different (verdict Float.nan 0.0);
+  check "longer body" Irsim.Ir.Different
+    (Irsim.Ir.likeness (one_store 1.0)
+       { (one_store 1.0) with
+         body = (one_store 1.0).body @ (one_store 2.0).body })
+
+(* Against [Stdlib.compare] on the outputs of different pipelines of one
+   program, which are often equal and often differ deep inside. *)
+let qcheck_likeness_is_compare =
+  QCheck.Test.make ~name:"likeness agrees with Stdlib.compare" ~count:150
+    arbitrary_case (fun (p, _) ->
+      let ir = Irsim.Lower.program p in
+      let fold calls =
+        Irsim.Fold.run { Irsim.Fold.fold_arith = true; fold_calls = calls }
+      in
+      let variants =
+        [ ir; fold None ir; fold (Some Mathlib.Libm.Mpfr_fold) ir;
+          Irsim.Contract.run Irsim.Contract.Syntactic ir;
+          Irsim.Contract.run Irsim.Contract.Cross_stmt ir;
+          Irsim.Dce.run (Irsim.Contract.run Irsim.Contract.Syntactic ir);
+          Irsim.Fastmath.run Irsim.Fastmath.gcc ir ]
+      in
+      List.for_all
+        (fun a ->
+          Irsim.Ir.likeness a a = Irsim.Ir.Identical
+          && List.for_all
+               (fun b ->
+                 let l = Irsim.Ir.likeness a b in
+                 (l <> Irsim.Ir.Different) = (compare a b = 0)
+                 && (l = Irsim.Ir.Identical) = (Irsim.Ir.likeness b a = Irsim.Ir.Identical))
+               variants)
+        variants)
 
 let () =
   Alcotest.run "irsim"
@@ -687,7 +784,14 @@ let () =
           Alcotest.test_case "keeps live chain" `Quick test_dce_keeps_live_chain;
           Alcotest.test_case "transitive" `Quick test_dce_transitive;
           Alcotest.test_case "NaN fixpoint regression" `Quick test_dce_terminates_on_nan_consts;
+          Alcotest.test_case "returns its input when clean" `Quick
+            test_dce_returns_input_when_clean;
           QCheck_alcotest.to_alcotest qcheck_dce_value_preserving;
+        ] );
+      ( "likeness",
+        [
+          Alcotest.test_case "float constants" `Quick test_likeness_floats;
+          QCheck_alcotest.to_alcotest qcheck_likeness_is_compare;
         ] );
       ( "pipeline",
         [

@@ -851,7 +851,18 @@ let test_coverage_json_roundtrip () =
           check_bool (label ^ " diagnosed") true (String.length msg > 0))
       [ ("wrong schema",
          Obs.Json.Obj [ ("schema", Obs.Json.String "llm4fp-bench/9") ]);
-        ("non-object", Obs.Json.Int 3) ]
+        ("non-object", Obs.Json.Int 3);
+        ( "recent hits newest first",
+          match json with
+          | Obs.Json.Obj fields ->
+            Obs.Json.Obj
+              (List.map
+                 (function
+                   | "recent", Obs.Json.List hits ->
+                     ("recent", Obs.Json.List (List.rev hits))
+                   | field -> field)
+                 fields)
+          | _ -> Alcotest.fail "snapshot is not an object" ) ]
 
 (* ------------------------------------------------------------------ *)
 (* Deck fold and flight-deck rendering *)
