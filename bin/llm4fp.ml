@@ -44,9 +44,10 @@ let metrics_arg =
 let jobs_arg =
   Arg.(value & opt int 1
        & info [ "j"; "jobs" ] ~docv:"N"
-           ~doc:"Worker domains for the parallel engine (default 1 = \
-                 sequential). Results are identical at any job count; \
-                 only wall-clock changes.")
+           ~doc:"Worker domains the suite's campaigns and Table 3's \
+                 corpora fan out across (default 1 = sequential). \
+                 Results are identical at any job count; only \
+                 wall-clock changes.")
 
 (* Bracket [f] with a JSONL trace sink on [path], when given. *)
 let with_trace path f =
@@ -63,11 +64,7 @@ let with_trace path f =
     in
     Fun.protect
       ~finally:(fun () -> close_out oc)
-      (fun () ->
-        (* Ordered: the file carries the jobs=1 event sequence at any
-           job count (events are sorted by their (slot, lane, seq)
-           stamps before they reach the channel). *)
-        Obs.Trace.with_sink (Obs.Sink.ordered (Obs.Sink.jsonl oc)) f)
+      (fun () -> Obs.Trace.with_sink (Obs.Sink.jsonl oc) f)
 
 let print_metrics_if requested =
   if requested then begin
@@ -330,8 +327,8 @@ let cmd_campaign =
                    changing it changes results, changing the shard \
                    count never does.")
   in
-  let run seed budget approach bandit grow_from fp32 jobs trace metrics record
-      html checkpoint_dir checkpoint_every resume faults shard out chunk =
+  let run seed budget approach bandit grow_from fp32 trace metrics record html
+      checkpoint_dir checkpoint_every resume faults shard out chunk =
     let approach =
       match (approach, bandit) with
       | Some a, false -> a
@@ -425,7 +422,7 @@ let cmd_campaign =
             | Harness.Fleet.Fresh -> "")
         in
         match
-          Harness.Fleet.run_shard ~chunk ~jobs ~precision
+          Harness.Fleet.run_shard ~chunk ~precision
             ~interval:checkpoint_every ~on_chunk ~root ~spec ~budget ~seed
             approach
         with
@@ -478,7 +475,12 @@ let cmd_campaign =
       match resume with
       | None -> None
       | Some dir -> begin
-        match Checkpoint.load ~dir with
+        match
+          Result.bind (Checkpoint.load ~dir) (fun snap ->
+              Result.map
+                (fun () -> snap)
+                (Harness.Campaign.check_resume ~dir snap))
+        with
         | Ok snap -> Some (dir, snap)
         | Error msg ->
           prerr_endline ("--resume: " ^ msg);
@@ -552,13 +554,12 @@ let cmd_campaign =
         in
         Fun.protect
           ~finally:(fun () -> close_out oc)
-          (fun () ->
-            Obs.Trace.with_sink (Obs.Sink.ordered (Obs.Sink.jsonl oc)) f)
+          (fun () -> Obs.Trace.with_sink (Obs.Sink.jsonl oc) f)
       | _ -> with_trace trace f
     in
     let o =
       with_campaign_trace (fun () ->
-          Harness.Campaign.run ~budget ~precision ~jobs ?recorder ?checkpoint
+          Harness.Campaign.run ~budget ~precision ?recorder ?checkpoint
             ?resume:(Option.map snd snapshot) ~grow_seeds ~seed approach)
     in
     let stats = o.Harness.Campaign.stats in
@@ -616,7 +617,7 @@ let cmd_campaign =
   in
   Cmd.v (Cmd.info "campaign" ~doc:"Run one approach's full campaign")
     Term.(const run $ seed_arg $ budget_arg $ approach $ bandit $ grow_from
-          $ fp32 $ jobs_arg $ trace_arg $ metrics_arg $ record $ html
+          $ fp32 $ trace_arg $ metrics_arg $ record $ html
           $ checkpoint_dir $ checkpoint_every $ resume $ faults $ shard $ out
           $ chunk)
 
@@ -674,8 +675,8 @@ let cmd_fleet =
          & info [ "interval" ] ~docv:"SECS"
              ~doc:"Supervisor polling interval (default 0.2).")
   in
-  let run seed budget approach fp32 jobs shards out chunk checkpoint_every
-      faults max_restarts interval =
+  let run seed budget approach fp32 shards out chunk checkpoint_every faults
+      max_restarts interval =
     if shards < 1 then begin
       prerr_endline "llm4fp fleet: -n must be at least 1";
       exit 2
@@ -715,8 +716,7 @@ let cmd_fleet =
           "--shard"; Printf.sprintf "%d/%d" i shards; "--out"; root;
           "-b"; string_of_int budget; "-s"; string_of_int seed;
           "--chunk"; string_of_int chunk;
-          "--checkpoint-every"; string_of_int checkpoint_every;
-          "-j"; string_of_int jobs ]
+          "--checkpoint-every"; string_of_int checkpoint_every ]
         @ (if fp32 then [ "--fp32" ] else [])
         @ (match faults with
           | Some f when with_faults -> [ "--faults"; f ]
@@ -869,9 +869,8 @@ let cmd_fleet =
              checkpoints, so the finished tree (and the subsequent \
              $(b,merge)) is byte-identical to an uninterrupted run at \
              any shard count.")
-    Term.(const run $ seed_arg $ budget_arg $ approach $ fp32 $ jobs_arg
-          $ shards $ out $ chunk $ checkpoint_every $ faults
-          $ max_restarts $ interval)
+    Term.(const run $ seed_arg $ budget_arg $ approach $ fp32 $ shards $ out
+          $ chunk $ checkpoint_every $ faults $ max_restarts $ interval)
 
 let cmd_merge =
   let root =
@@ -1133,11 +1132,10 @@ let cmd_profile =
              ~doc:"Also export the span tree as Chrome trace-event JSON \
                    to $(docv) (loadable in chrome://tracing or Perfetto).")
   in
-  let run seed budget approach jobs trace metrics flame =
+  let run seed budget approach trace metrics flame =
     Obs.Span.set_enabled true;
     let o =
-      with_trace trace (fun () ->
-          Harness.Campaign.run ~budget ~jobs ~seed approach)
+      with_trace trace (fun () -> Harness.Campaign.run ~budget ~seed approach)
     in
     Printf.printf
       "%s: budget %d, seed %d — %s inconsistencies, real compute %.2fs\n\n"
@@ -1163,8 +1161,8 @@ let cmd_profile =
        ~doc:"Run a small campaign with span timing enabled and print the \
              per-stage hot-path profile (flat and as a call tree), \
              optionally exporting a flamegraph ($(b,--flame))")
-    Term.(const run $ seed_arg $ budget $ approach $ jobs_arg $ trace_arg
-          $ metrics_arg $ flame)
+    Term.(const run $ seed_arg $ budget $ approach $ trace_arg $ metrics_arg
+          $ flame)
 
 let cmd_explain =
   let case_ref =

@@ -152,7 +152,7 @@ let write ~dir t =
 
 let ( let* ) = Result.bind
 
-let err fmt = Printf.ksprintf (fun m -> Error ("checkpoint: " ^ m)) fmt
+let err fmt = Printf.ksprintf (fun m -> Error m) fmt
 
 let field name json =
   match Obs.Json.member name json with
@@ -276,11 +276,6 @@ let slot_of_json json =
   let* feedback = bool_field "feedback" json in
   Ok { program; inputs; feedback }
 
-let parse_line ~path i line =
-  match Obs.Json.parse line with
-  | Ok json -> Ok json
-  | Error msg -> err "%s: line %d: %s" path i msg
-
 (* Stored C renderings that resume re-parses: checked here, so damage is
    a located [Error] and never a failure after [load] accepted the file. *)
 let check_sources ~path i what sources =
@@ -295,8 +290,12 @@ let check_sources ~path i what sources =
 
 let load ~dir =
   let p = path ~dir in
+  (* A decode error of file line [i], located. *)
+  let at i r = Result.map_error (Printf.sprintf "%s: line %d: %s" p i) r in
+  Result.map_error (fun m -> "checkpoint: " ^ m)
+  @@
   match open_in_bin p with
-  | exception Sys_error msg -> Error ("checkpoint: " ^ msg)
+  | exception Sys_error msg -> Error msg
   | ic ->
       Fun.protect
         ~finally:(fun () -> close_in_noerr ic)
@@ -310,7 +309,7 @@ let load ~dir =
           match List.rev !lines with
           | [] -> err "%s: empty file" p
           | header_line :: rest ->
-              let* header = parse_line ~path:p 1 header_line in
+              let* header = at 1 (Obs.Json.parse header_line) in
               let* schema_got = string_field "schema" header in
               let* () =
                 if schema_got = schema then Ok ()
@@ -357,46 +356,38 @@ let load ~dir =
                      the header, found %d)"
                     p expected (List.length rest)
               in
-              let* client_json =
-                parse_line ~path:p 2 (List.nth rest 0)
-              in
-              let* client = client_of_json client_json in
+              let* client_json = at 2 (Obs.Json.parse (List.nth rest 0)) in
+              let* client = at 2 (client_of_json client_json) in
               let* () =
                 check_sources ~path:p 2 "client skeleton"
                   client.Llm.Client.snap_skeletons
               in
-              let* stats_json = parse_line ~path:p 3 (List.nth rest 1) in
-              let* stats =
-                Result.map_error
-                  (fun m -> "checkpoint: " ^ m)
-                  (Difftest.Stats.of_json stats_json)
-              in
-              let* coverage_json = parse_line ~path:p 4 (List.nth rest 2) in
-              let* coverage =
-                Result.map_error
-                  (fun m -> "checkpoint: " ^ m)
-                  (Obs.Coverage.of_json coverage_json)
-              in
+              let* stats_json = at 3 (Obs.Json.parse (List.nth rest 1)) in
+              let* stats = at 3 (Difftest.Stats.of_json stats_json) in
+              let* coverage_json = at 4 (Obs.Json.parse (List.nth rest 2)) in
+              let* coverage = at 4 (Obs.Coverage.of_json coverage_json) in
               let rest = List.filteri (fun i _ -> i >= 3) rest in
               let* recorder, rest =
                 if has_recorder then
                   match rest with
                   | line :: tl ->
-                      let* json = parse_line ~path:p 5 line in
-                      let* r = recorder_of_json json in
+                      let* json = at 5 (Obs.Json.parse line) in
+                      let* r = at 5 (recorder_of_json json) in
                       Ok (Some r, tl)
                   | [] -> err "%s: missing recorder line" p
                 else Ok (None, rest)
               in
+              (* Slot lines follow the recorder line, when there is one. *)
+              let first_slot_line = if has_recorder then 6 else 5 in
               let* slots =
                 List.fold_left
                   (fun acc (i, line) ->
                     let* acc = acc in
-                    let* json = parse_line ~path:p i line in
-                    let* s = slot_of_json json in
+                    let* json = at i (Obs.Json.parse line) in
+                    let* s = at i (slot_of_json json) in
                     Ok (s :: acc))
                   (Ok [])
-                  (List.mapi (fun i l -> (i + 1, l)) rest)
+                  (List.mapi (fun i l -> (first_slot_line + i, l)) rest)
                 |> Result.map List.rev
               in
               Ok

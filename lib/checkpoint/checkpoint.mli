@@ -27,8 +27,7 @@
 
     [Harness.Campaign.run ~resume] restores all of it and continues at
     [next_slot]; the final outcome, trace bytes and case archives are
-    identical to an uninterrupted run at any kill point and any job
-    count.
+    identical to an uninterrupted run at any kill point.
 
     Sharded campaigns ([Harness.Fleet]) keep one checkpoint directory
     per chunk ([ROOT/chunk-%04d/ckpt/]), so a restarted shard resumes

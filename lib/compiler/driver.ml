@@ -84,23 +84,19 @@ type built = {
   b_class : exec_class;
 }
 
-(* The program's back-end outputs, across both targets, pairwise not
-   [Identical]; newest first. One lock guards them and every front's
-   pipeline list. *)
-type shared = { lock : Mutex.t; mutable builts : built list }
-
 type front = {
   f_source : string;       (* the emitted translation unit *)
   f_ir : Irsim.Ir.t;       (* lowered, before the pass pipeline *)
   f_precision : Lang.Ast.precision;  (* of the re-parsed unit *)
-  f_shared : shared;
+  f_builts : built list ref;  (* the program's, shared by both targets *)
   mutable f_backs : (Config.t * built) list;  (* one per distinct pipeline *)
 }
 
+(* [builts]: the program's back-end outputs, across both targets,
+   pairwise not [Identical]; newest first. *)
 type fronts = {
   program : Lang.Ast.program;
-  lock : Mutex.t;
-  shared : shared;
+  builts : built list ref;
   mutable host : (front, string) result option;
   mutable device : (front, string) result option;
 }
@@ -140,33 +136,26 @@ let run_front_end (target : target) fronts =
         Ok
           { f_source = source; f_ir = ir;
             f_precision = parsed.Lang.Ast.precision;
-            f_shared = fronts.shared; f_backs = [] }
+            f_builts = fronts.builts; f_backs = [] }
     end
   end
 
-let fronts program =
-  { program; lock = Mutex.create ();
-    shared = { lock = Mutex.create (); builts = [] };
-    host = None; device = None }
+let fronts program = { program; builts = ref []; host = None; device = None }
 
 let front_end fronts (target : target) =
-  Mutex.lock fronts.lock;
-  Fun.protect
-    ~finally:(fun () -> Mutex.unlock fronts.lock)
-    (fun () ->
-      let cached =
-        match target with `Host -> fronts.host | `Device -> fronts.device
-      in
-      match cached with
-      | Some r ->
-        Obs.Metrics.incr m_front_hits;
-        r
-      | None ->
-        let r = run_front_end target fronts in
-        (match target with
-        | `Host -> fronts.host <- Some r
-        | `Device -> fronts.device <- Some r);
-        r)
+  let cached =
+    match target with `Host -> fronts.host | `Device -> fronts.device
+  in
+  match cached with
+  | Some r ->
+    Obs.Metrics.incr m_front_hits;
+    r
+  | None ->
+    let r = run_front_end target fronts in
+    (match target with
+    | `Host -> fronts.host <- Some r
+    | `Device -> fronts.device <- Some r);
+    r
 
 (* ------------------------------------------------------------------ *)
 (* Back end: the configuration's pass pipeline over the shared
@@ -199,53 +188,35 @@ let same_back_end (a : Config.t) (b : Config.t) =
   && Bool.equal a.dce b.dce && a.libm == b.libm && Bool.equal a.ftz b.ftz
   && Bool.equal a.nan_cmp_taken b.nan_cmp_taken
 
-(* The pipeline output stored for [config] in [backs], up to (not
-   including) [stop]. *)
-let rec find_back config ~stop backs =
-  match backs with
-  | (c, built) :: rest when backs != stop ->
-    if same_back_end c config then Some built else find_back config ~stop rest
-  | _ -> None
-
-(* How [ir] under [rt] stands against the outputs in [builts] up to (not
-   including) [stop]: [`Same b] for an [Identical] one, else the class
-   of a [Compare_equal] one if any. Classes are unions under
-   [Stdlib.compare], which is an equivalence, so any member names the
-   class. *)
-let rec classify ir rt ~stop cls (builts : built list) =
+(* How [ir] under [rt] stands against [builts]: [`Same b] for an
+   [Identical] one, else the class of a [Compare_equal] one if any.
+   Classes are unions under [Stdlib.compare], which is an equivalence,
+   so any member names the class. *)
+let rec classify ir rt cls (builts : built list) =
   match builts with
-  | b :: rest when builts != stop ->
-    if not (same_runtime rt b.b_rt) then classify ir rt ~stop cls rest
+  | [] -> `Class cls
+  | b :: rest ->
+    if not (same_runtime rt b.b_rt) then classify ir rt cls rest
     else begin
       match Irsim.Ir.likeness ir b.b_ir with
       | Irsim.Ir.Identical -> `Same b
-      | Irsim.Ir.Compare_equal -> classify ir rt ~stop (Some b.b_class) rest
-      | Irsim.Ir.Different -> classify ir rt ~stop cls rest
+      | Irsim.Ir.Compare_equal -> classify ir rt (Some b.b_class) rest
+      | Irsim.Ir.Different -> classify ir rt cls rest
     end
-  | _ -> `Class cls
 
 (* The program's output for [ir] under [rt]: an [Identical] one already
-   built, or a new flatten, made outside the lock. Only [Identical]
-   outputs share, so a shared program's contents never depend on which
-   worker built it; when two workers race, the first stored wins and the
-   other adopts it. *)
-let share (shared : shared) ir rt =
-  let seen = Mutex.protect shared.lock (fun () -> shared.builts) in
-  match classify ir rt ~stop:[] None seen with
+   built, or a new flatten. *)
+let share builts ir rt =
+  match classify ir rt None !builts with
   | `Same b -> b
   | `Class cls ->
-    let vm = Irsim.Vm.flatten rt ir in
-    let work = body_size ir.body in
-    Mutex.protect shared.lock (fun () ->
-        match classify ir rt ~stop:seen cls shared.builts with
-        | `Same b -> b
-        | `Class cls ->
-          let b_class = match cls with Some c -> c | None -> ref () in
-          let b =
-            { b_ir = ir; b_rt = rt; b_vm = vm; b_work = work; b_class }
-          in
-          shared.builts <- b :: shared.builts;
-          b)
+    let b_class = match cls with Some c -> c | None -> ref () in
+    let b =
+      { b_ir = ir; b_rt = rt; b_vm = Irsim.Vm.flatten rt ir;
+        b_work = body_size ir.body; b_class }
+    in
+    builts := b :: !builts;
+    b
 
 (* Fault injection comes first, so a [backend@N] plan hits the N-th
    configuration whether or not its output is shared. Each
@@ -254,22 +225,20 @@ let share (shared : shared) ir rt =
 let back_end (config : Config.t) (front : front) =
   inject_with_retry Exec.Faults.Back_end;
   let applied = Config.effective config front.f_precision in
-  let lock = front.f_shared.lock in
-  let seen = Mutex.protect lock (fun () -> front.f_backs) in
   let b =
-    match find_back applied ~stop:[] seen with
+    match
+      List.find_map
+        (fun (c, built) -> if same_back_end c applied then Some built else None)
+        front.f_backs
+    with
     | Some b -> b
     | None ->
       let b =
-        share front.f_shared (pipeline applied front.f_ir)
+        share front.f_builts (pipeline applied front.f_ir)
           (Config.runtime applied)
       in
-      Mutex.protect lock (fun () ->
-          match find_back applied ~stop:seen front.f_backs with
-          | Some first -> first
-          | None ->
-            front.f_backs <- (applied, b) :: front.f_backs;
-            b)
+      front.f_backs <- (applied, b) :: front.f_backs;
+      b
   in
   { config = applied; source = front.f_source; ir = b.b_ir; vm = b.b_vm;
     work = b.b_work; exec_class = b.b_class }
@@ -341,27 +310,14 @@ let run binary inputs =
 
 let run_hex binary inputs = Fp.Bits.hex_of_double (run binary inputs).result
 
-let matrix ?configs ?(jobs = 1) program =
+let matrix ?configs program =
   let configs =
     match configs with Some cs -> cs | None -> Config.all ()
   in
   let fronts = fronts program in
-  let slot = Obs.Trace.current_slot () in
-  let compile_one config =
-    match compile_with fronts config with
-    | Ok binary -> Either.Left (config, binary)
-    | Error msg -> Either.Right (config, msg)
-  in
-  let task (lane, config) =
-    (* Re-establish the caller's slot context inside pool workers so
-       Compiled events stay correlated, and lane-stamp by matrix index
-       so ordered sinks can serialize them deterministically. Retry
-       backoff is settled in configuration order. *)
-    let go () = Obs.Trace.with_lane lane (fun () -> compile_one config) in
-    Obs.Span.deferred (fun () ->
-        match slot with
-        | Some s -> Obs.Trace.with_slot s go
-        | None -> go ())
-  in
-  Obs.Span.settle
-    (Exec.Pool.map ~jobs task (List.mapi (fun i c -> (i, c)) configs))
+  List.map
+    (fun config ->
+      match compile_with fronts config with
+      | Ok binary -> Either.Left (config, binary)
+      | Error msg -> Either.Right (config, msg))
+    configs

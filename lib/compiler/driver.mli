@@ -14,8 +14,7 @@
     (host/device) decides the translation unit — gcc and clang compile
     the same host C — so one program needs exactly {e two} front-end
     passes, not one per configuration. {!fronts} carries the memoized
-    per-target front ends (domain-safe; shareable across an
-    {!Exec.Pool} fan-out) and {!compile_with} runs only the per-config
+    per-target front ends and {!compile_with} runs only the per-config
     back end against them. The cache's effectiveness is observable as
     the [compiler.frontend.runs] / [compiler.frontend.cache_hits]
     metrics.
@@ -61,15 +60,13 @@ type target = [ `Host | `Device ]
 
 type front
 (** A completed front-end pass: the emitted translation unit, its
-    lowered (pre-pipeline) IR, and a mutex-guarded table of the
-    pipelines already run on it. Shareable across pool workers. *)
+    lowered (pre-pipeline) IR, and the pipelines already run on it. *)
 
 type fronts
 (** Per-program front-end cache, at most one entry per target, and the
-    program's flattened back-end outputs, shared by both targets. Lazy
-    and mutex-guarded: concurrent {!compile_with} calls from pool
-    workers compute each target once and share the result. Nothing in
-    it outlives the program's matrix. *)
+    program's flattened back-end outputs, shared by both targets. Lazy:
+    each target's front end runs once, on first use. Nothing in it
+    outlives the program's matrix. *)
 
 val fronts : Lang.Ast.program -> fronts
 (** An empty cache for [program]; no front-end work happens yet. *)
@@ -88,11 +85,9 @@ val back_end : Config.t -> front -> binary
     run the pipeline once per front. Outputs whose IR is
     {!Irsim.Ir.Identical} and whose runtimes agree, on either target of
     the program, share one flattened program, so a program pays one
-    flatten per distinct binary; only [Identical] outputs share, so a
-    shared program's contents never depend on which pool worker built
-    it. Each configuration still gets its own [binary] record naming its
-    own configuration, and each passes the [Back_end] fault-injection
-    site before the lookup. *)
+    flatten per distinct binary. Each configuration still gets its own
+    [binary] record naming its own configuration, and each passes the
+    [Back_end] fault-injection site before the lookup. *)
 
 val compile_with : fronts -> Config.t -> (binary, string) result
 (** [front_end] + [back_end] with the historic [compile] accounting:
@@ -115,8 +110,8 @@ val execute : binary -> Irsim.Inputs.t -> Irsim.Interp.outcome
 val account : ?hex:string -> binary -> Irsim.Interp.outcome -> unit
 (** Book an execution outcome against [binary]'s configuration: the
     [compiler.runs] / [compiler.fp_ops] metrics and (when tracing) an
-    [Executed] event stamped with the caller's slot/lane context. [hex]
-    is the result's {!Fp.Bits.hex_of_double}, when the caller has it. *)
+    [Executed] event carrying the caller's slot. [hex] is the result's
+    {!Fp.Bits.hex_of_double}, when the caller has it. *)
 
 val run : binary -> Irsim.Inputs.t -> Irsim.Interp.outcome
 (** [execute] + [account]: the historic one-call entry point. *)
@@ -127,12 +122,9 @@ val run_hex : binary -> Irsim.Inputs.t -> string
 
 val matrix :
   ?configs:Config.t list ->
-  ?jobs:int ->
   Lang.Ast.program ->
   ((Config.t * binary, Config.t * string) Either.t) list
 (** Compile under every configuration (default: the full 18-entry
     matrix), keeping per-configuration successes and failures in
     configuration order. The front end runs at most twice regardless of
-    configuration count, and [jobs > 1] fans the per-configuration back
-    ends across the {!Exec.Pool} — results are identical at any job
-    count. *)
+    configuration count. *)

@@ -63,123 +63,73 @@ let cell personality level =
   (Compiler.Personality.index personality * n_levels)
   + Compiler.Optlevel.index level
 
-let test ?configs ?(jobs = 1) program inputs =
-  let slot = Obs.Trace.current_slot () in
-  (* Pool workers re-establish the campaign's slot context so their
-     Executed trace events stay correlated. *)
-  let in_slot go =
-    match slot with Some s -> Obs.Trace.with_slot s go | None -> go ()
+let test ?configs program inputs =
+  let configs =
+    match configs with Some cs -> cs | None -> Compiler.Config.all ()
   in
-  (* Phase 1 — compile every configuration through the shared
-     front-end cache, in configuration order at any job count. At
-     jobs = 1 the pool runs tasks inline, so the per-config compile
-     spans nest under this one in the span tree; at jobs > 1 they
-     record in worker domains and surface as that domain's roots. *)
-  let compiled =
-    Obs.Span.with_span "difftest.fanout" @@ fun () ->
-    Array.of_list (Compiler.Driver.matrix ?configs ~jobs program)
-  in
-  let n = Array.length compiled in
-  (* Phase 2 — deduplicate executions. Configurations whose back ends
-     produced (post-pipeline IR, runtime) pairs equal under
-     [Stdlib.compare] (NaN-tolerant, unlike [=], so folded NaN constants
-     still dedup) are the same binary: one execution serves them all.
-     The driver sorted the binaries into these classes as it built
-     them, so a lookup is a physical comparison. The first configuration
-     of a class becomes its leader, so grouping is deterministic in
-     configuration order. *)
-  let leader = Array.make n (-1) in
-  let leaders_rev = ref [] in
-  Array.iteri
-    (fun i r ->
-      match r with
-      | Either.Right _ -> ()
-      | Either.Left (_, binary) -> begin
-        match
-          List.find_opt
-            (fun (_, b) -> Compiler.Driver.same_exec_class b binary)
-            !leaders_rev
-        with
-        | Some (lane, _) -> leader.(i) <- lane
-        | None ->
-          leaders_rev := (i, binary) :: !leaders_rev;
-          leader.(i) <- i
-      end)
-    compiled;
-  let leaders = List.rev !leaders_rev in
-  (* Phase 3 — one execution per distinct binary, fanned out. Raw
-     [execute]: accounting happens per configuration in phase 4. A trap
-     (out-of-bounds subscript) is a reportable per-configuration
-     failure, not a crash. Each outcome's hex encoding and digit
-     decomposition are made once, for every configuration sharing it. *)
-  let executed =
-    Obs.Span.with_span "difftest.exec" @@ fun () ->
-    Obs.Span.settle
-      (Exec.Pool.map ~jobs
-         (fun (_, binary) ->
-           Obs.Span.deferred (fun () ->
-               in_slot (fun () ->
-                   match Compiler.Driver.execute binary inputs with
-                   | out -> Ok out
-                   | exception Irsim.Interp.Trap t ->
-                     Error ("execution trapped: " ^ Irsim.Interp.trap_message t))))
-         leaders)
-  in
-  let outcome = Array.make n (Error "") in
-  List.iter2
-    (fun (lane, _) r ->
-      outcome.(lane) <-
-        Result.map
-          (fun (out : Irsim.Interp.outcome) ->
-            let v = out.Irsim.Interp.result in
-            (out, Fp.Bits.hex_of_double v, Fp.Digits.prepare v))
-          r)
-    leaders executed;
-  (* Phase 4 — per-configuration accounting, sequential in configuration
-     order. Every configuration books its own run — metrics, dedup
-     hit/miss, and (when tracing) an Executed event re-entering the
-     configuration's lane at seq 1, the stamp the compile event's lane
-     left off at — so outputs, totals, and trace bytes are identical to
-     executing each configuration separately. *)
+  let fronts = Compiler.Driver.fronts program in
+  (* One pass in configuration order: compile, execute, book. The
+     driver sorted the binaries into execution classes as it built them
+     (post-pipeline IR and runtime equal under [Stdlib.compare],
+     NaN-tolerant unlike [=], so folded NaN constants still share), so
+     the first configuration of a class runs it and the rest reuse its
+     outcome, found by a physical comparison. A trap (out-of-bounds
+     subscript) is a reportable per-configuration failure, not a crash.
+     Each outcome's hex encoding and digit decomposition are made once,
+     for every configuration sharing it, and every configuration still
+     books its own run: metrics, dedup hit or miss, and an Executed
+     event right after its Compiled one. *)
+  let executed = ref [] in
   let by_cell =
     Array.make (Array.length Compiler.Personality.all * n_levels) None
   in
-  let outputs, failures =
-    let outs = ref [] and fails = ref [] in
-    Array.iteri
-      (fun i r ->
-        match r with
-        | Either.Right (config, msg) -> fails := (config, msg) :: !fails
-        | Either.Left ((config : Compiler.Config.t), binary) -> begin
-          let lane = leader.(i) in
-          match outcome.(lane) with
-          | Error msg ->
-            fails :=
-              (config, Printf.sprintf "%s: %s" (Compiler.Config.name config) msg)
-              :: !fails
-          | Ok (out, hex, digits) ->
-            Obs.Metrics.incr
-              (if lane = i then m_dedup_misses else m_dedup_hits);
-            if Obs.Trace.on () then
-              in_slot (fun () ->
-                  Obs.Trace.with_lane ~seq:1 i (fun () ->
-                      Compiler.Driver.account ~hex binary out))
-            else Compiler.Driver.account ~hex binary out;
-            let o =
-              {
-                config;
-                value = out.Irsim.Interp.result;
-                hex;
-                ops = out.Irsim.Interp.fp_ops;
-                work = binary.Compiler.Driver.work;
-              }
+  let outs = ref [] and fails = ref [] in
+  List.iter
+    (fun (config : Compiler.Config.t) ->
+      match Compiler.Driver.compile_with fronts config with
+      | Error msg -> fails := (config, msg) :: !fails
+      | Ok binary -> begin
+        let outcome, hit =
+          match
+            List.find_opt
+              (fun (b, _) -> Compiler.Driver.same_exec_class b binary)
+              !executed
+          with
+          | Some (_, outcome) -> (outcome, true)
+          | None ->
+            let outcome =
+              match Compiler.Driver.execute binary inputs with
+              | out ->
+                let v = out.Irsim.Interp.result in
+                Ok (out, Fp.Bits.hex_of_double v, Fp.Digits.prepare v)
+              | exception Irsim.Interp.Trap t ->
+                Error ("execution trapped: " ^ Irsim.Interp.trap_message t)
             in
-            outs := o :: !outs;
-            by_cell.(cell config.personality config.level) <- Some (o, digits)
-        end)
-      compiled;
-    (List.rev !outs, List.rev !fails)
-  in
+            executed := (binary, outcome) :: !executed;
+            (outcome, false)
+        in
+        match outcome with
+        | Error msg ->
+          fails :=
+            (config, Printf.sprintf "%s: %s" (Compiler.Config.name config) msg)
+            :: !fails
+        | Ok (out, hex, digits) ->
+          Obs.Metrics.incr (if hit then m_dedup_hits else m_dedup_misses);
+          Compiler.Driver.account ~hex binary out;
+          let o =
+            {
+              config;
+              value = out.Irsim.Interp.result;
+              hex;
+              ops = out.Irsim.Interp.fp_ops;
+              work = binary.Compiler.Driver.work;
+            }
+          in
+          outs := o :: !outs;
+          by_cell.(cell config.personality config.level) <- Some (o, digits)
+      end)
+    configs;
+  let outputs = List.rev !outs and failures = List.rev !fails in
   let find personality level = by_cell.(cell personality level) in
   let cross, within =
     Obs.Span.with_span "difftest.compare" @@ fun () ->

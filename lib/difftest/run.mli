@@ -45,7 +45,6 @@ type result = {
 
 val test :
   ?configs:Compiler.Config.t list ->
-  ?jobs:int ->
   Lang.Ast.program ->
   Irsim.Inputs.t ->
   result
@@ -56,29 +55,28 @@ val test :
     modified matrices — campaigns build the list once and thread it
     through every slot.
 
-    Compilation is {!Compiler.Driver.matrix}: the front end (emit +
-    parse + validate + lower) runs once per {e target} — two passes per
-    program instead of one per configuration — and [jobs > 1] fans the
-    per-configuration back ends and the deduplicated executions across
-    the {!Exec.Pool}.
+    One pass over the configurations, in order: each is compiled
+    through one shared {!Compiler.Driver.fronts} — the front end (emit +
+    parse + validate + lower) runs once per {e target}, two passes per
+    program instead of one per configuration — then executed, then
+    booked.
 
     Executions are deduplicated: configurations whose back ends produced
     (post-pipeline IR, runtime) pairs equal under [Stdlib.compare] share
     one execution — the driver sorted them into one
-    {!Compiler.Driver.exec_class} as it built them — and each
-    configuration then books the shared outcome as its own run (metrics,
-    trace event, totals). The outcome's hex encoding is made once per
-    execution. The [exec.dedup.hits] / [exec.dedup.misses] counters
-    expose the ratio; on the standard matrix the O1/O2/O3 levels of each
-    personality collapse, roughly halving executions.
+    {!Compiler.Driver.exec_class} as it built them, and the class's
+    first configuration runs it — and each configuration then books the
+    shared outcome as its own run (metrics, trace event, totals). The
+    outcome's hex encoding is made once per execution. The
+    [exec.dedup.hits] / [exec.dedup.misses] counters expose the ratio;
+    on the standard matrix the O1/O2/O3 levels of each personality
+    collapse, roughly halving executions.
 
-    The [result] is identical at any job count; only wall-clock
-    changes. Every binary runs on {!Irsim.Vm}, and its outputs are
-    bit-exact with the {!Irsim.Interp} reference. Trace events
-    carry a deterministic [(slot, lane, seq)] stamp — [lane] is the
-    configuration's matrix index — so a sink wrapped in
-    {!Obs.Sink.ordered} observes the exact [jobs = 1] event sequence at
-    any job count. *)
+    Every binary runs on {!Irsim.Vm}, and its outputs are bit-exact with
+    the {!Irsim.Interp} reference. Each configuration's [Compiled] trace
+    event is followed directly by its [Executed] one, in configuration
+    order, before the slot's [Inconsistency_found] and [Compared]
+    events. *)
 
 val coverage_keys : result -> Obs.Coverage.key list
 (** The result's inconsistent comparisons projected to coverage-ledger

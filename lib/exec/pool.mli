@@ -1,12 +1,11 @@
 (** Work-sharing domain pool for the parallel execution layer.
 
     One process-wide pool of worker domains (stdlib [Domain] + [Mutex] /
-    [Condition], no dependencies) serves every parallel site in the
-    pipeline: the per-slot configuration matrix in differential testing,
-    the independent seeded campaigns of the experiment suite, and the
-    ablation replay. Workers are spawned on demand, kept for the life of
-    the process (domain spawn is far too expensive to pay per batch),
-    and joined at exit.
+    [Condition], no dependencies) serves both parallel sites in the
+    pipeline: the independent seeded campaigns of the experiment suite
+    and Table 3's per-approach diversity scoring. Workers are spawned on
+    demand, kept for the life of the process (domain spawn is far too
+    expensive to pay per batch), and joined at exit.
 
     Design rules, chosen so that {b job count can never change results}:
 
@@ -28,7 +27,7 @@
     and is never shrunk except by {!shutdown}.
 
     The pool itself is orchestrated from one domain at a time (the
-    campaign / experiment driver); tasks may freely use the domain-safe
+    experiment driver); tasks may freely use the domain-safe
     observability layer ({!Obs.Metrics} atomics, mutex-guarded
     {!Obs.Trace} sinks, per-domain {!Obs.Span} aggregates). *)
 

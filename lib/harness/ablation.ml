@@ -64,29 +64,23 @@ let variants () =
       configs = no_fastmath () };
   ]
 
-let replay ?(jobs = 1) variant cases =
-  (* The corpus is fixed, so each case is an independent unit of work:
-     fan the difftests across the pool and fold the results into the
-     stats accumulator sequentially, in corpus order. Pool.map preserves
-     that order, so the statistics are identical at any job count. *)
-  let results =
-    Exec.Pool.map ~jobs
-      (fun (program, inputs) ->
-        Difftest.Run.test ~configs:variant.configs program inputs)
-      cases
-  in
+let replay variant cases =
   let stats = Difftest.Stats.create () in
-  List.iter (Difftest.Stats.add stats) results;
+  List.iter
+    (fun (program, inputs) ->
+      Difftest.Stats.add stats
+        (Difftest.Run.test ~configs:variant.configs program inputs))
+    cases;
   stats
 
-let table ?(budget = 300) ?jobs ~seed () =
-  let outcome = Campaign.run ~budget ?jobs ~seed Approach.Llm4fp in
+let table ?(budget = 300) ~seed () =
+  let outcome = Campaign.run ~budget ~seed Approach.Llm4fp in
   let cases = outcome.Campaign.cases in
   let full_rate = ref 0.0 in
   let rows =
     List.map
       (fun variant ->
-        let stats = replay ?jobs variant cases in
+        let stats = replay variant cases in
         let rate = Difftest.Stats.inconsistency_rate stats in
         if variant.name = "full" then full_rate := rate;
         let delta =

@@ -29,15 +29,9 @@ val variants : unit -> variant list
 (** [full] first, then each ablation. *)
 
 val replay :
-  ?jobs:int ->
-  variant ->
-  (Lang.Ast.program * Irsim.Inputs.t) list ->
-  Difftest.Stats.t
-(** Run the corpus through the variant's matrix. [jobs] (default 1)
-    fans the per-case differential tests across the {!Exec.Pool};
-    results are folded in corpus order, so the statistics are identical
-    at any job count. *)
+  variant -> (Lang.Ast.program * Irsim.Inputs.t) list -> Difftest.Stats.t
+(** Run the corpus through the variant's matrix, in corpus order. *)
 
-val table : ?budget:int -> ?jobs:int -> seed:int -> unit -> string
+val table : ?budget:int -> seed:int -> unit -> string
 (** Generate an LLM4FP corpus once (default budget 300) and render the
     per-variant inconsistency rates with their deltas. *)

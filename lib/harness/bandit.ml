@@ -183,7 +183,7 @@ let to_json t =
 
 let ( let* ) = Result.bind
 
-let err fmt = Printf.ksprintf (fun m -> Error ("bandit: " ^ m)) fmt
+let err fmt = Printf.ksprintf (fun m -> Error m) fmt
 
 let number = function
   | Obs.Json.Float f -> Ok f

@@ -42,8 +42,8 @@ let admit source =
     | Ok () -> Ok program
   end
 
-let run ?(budget = 1000) ?(precision = Lang.Ast.F64) ?(jobs = 1) ?recorder
-    ?checkpoint ?resume ?(slot_offset = 0) ?(grow_seeds = []) ~seed approach =
+let run ?(budget = 1000) ?(precision = Lang.Ast.F64) ?recorder ?checkpoint
+    ?resume ?(slot_offset = 0) ?(grow_seeds = []) ~seed approach =
   (match checkpoint with
   | Some (_, interval) when interval <= 0 ->
     invalid_arg "Campaign.run: checkpoint interval must be positive"
@@ -134,7 +134,7 @@ let run ?(budget = 1000) ?(precision = Lang.Ast.F64) ?(jobs = 1) ?recorder
     | Some b, Some json -> (
       match Bandit.restore b json with
       | Ok () -> ()
-      | Error msg -> invalid_arg ("Campaign.run: " ^ msg))
+      | Error msg -> invalid_arg ("Campaign.run: bandit state: " ^ msg))
     | Some _, None ->
       invalid_arg
         "Campaign.run: resume mismatch: bandit campaign, but the checkpoint \
@@ -353,7 +353,7 @@ let run ?(budget = 1000) ?(precision = Lang.Ast.F64) ?(jobs = 1) ?recorder
           cases := (program, inputs) :: !cases;
           let result =
             Obs.Span.with_span "campaign.difftest" (fun () ->
-                let result = Difftest.Run.test ~configs ~jobs program inputs in
+                let result = Difftest.Run.test ~configs program inputs in
                 Time_model.charge_program clock
                   ~work:result.Difftest.Run.total_work
                   ~ops:result.Difftest.Run.total_ops
@@ -447,10 +447,10 @@ let run ?(budget = 1000) ?(precision = Lang.Ast.F64) ?(jobs = 1) ?recorder
             ~sim_cost:(Util.Sim_clock.elapsed clock -. sim_before)
             ~now:(Util.Sim_clock.elapsed clock));
         (* Checkpoint at the slot boundary (outside the slot context):
-           the ordered sink's reorder buffer is provably empty here, so
-           the synced trace offset is a clean cut line. Never written
-           after the final slot — a checkpoint always has work left, so
-           resume is meaningful and idempotent. *)
+           every event of the slot has been emitted, so the synced trace
+           offset is a clean cut line. Never written after the final
+           slot — a checkpoint always has work left, so resume is
+           meaningful and idempotent. *)
         match checkpoint with
         | Some (dir, interval) when slot mod interval = 0 && slot < budget ->
           Obs.Span.with_span "campaign.checkpoint" (fun () ->
@@ -486,10 +486,29 @@ let run ?(budget = 1000) ?(precision = Lang.Ast.F64) ?(jobs = 1) ?recorder
     bandit;
   }
 
+(* [Checkpoint.load] keeps the bandit posterior opaque (it sits below
+   this layer); decoding it into a cold bandit here turns damage into a
+   located error before any slot runs. *)
+let check_resume ~dir (snap : Checkpoint.t) =
+  let located msg =
+    Error
+      (Printf.sprintf "%s: line 1: bandit state: %s" (Checkpoint.path ~dir)
+         msg)
+  in
+  match snap.Checkpoint.bandit with
+  | Some json -> (
+    match Bandit.restore (Bandit.create ~rng:(Util.Rng.of_int 0) ()) json with
+    | Ok () -> Ok ()
+    | Error msg -> located msg)
+  | None when snap.Checkpoint.approach = Approach.name Approach.Bandit ->
+    located "missing"
+  | None -> Ok ()
+
 (* The equality key used by determinism drills (the checkpoint, observer
-   and jobs-invariance tests): everything about an outcome that must be
-   invariant under jobs, checkpointing and observation — but not the
-   real-time measurements, which always differ. *)
+   and suite jobs-invariance tests): everything about an outcome that
+   must be invariant under the suite's job count, checkpointing and
+   observation — but not the real-time measurements, which always
+   differ. *)
 let signature (o : outcome) =
   ( Difftest.Stats.total_inconsistencies o.stats,
     Difftest.Stats.total_comparisons o.stats,

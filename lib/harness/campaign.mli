@@ -40,7 +40,6 @@ type outcome = {
 val run :
   ?budget:int ->
   ?precision:Lang.Ast.precision ->
-  ?jobs:int ->
   ?recorder:Difftest.Recorder.t ->
   ?checkpoint:string * int ->
   ?resume:Checkpoint.t ->
@@ -54,12 +53,6 @@ val run :
     parameter provides: programs are generated, printed, compiled and
     executed in single precision, and nvcc's [-use_fast_math] intrinsics
     then genuinely apply).
-
-    [jobs] (default 1) fans each slot's configuration matrix across the
-    {!Exec.Pool}. The feedback loop stays strictly sequential in slot
-    order — the strategy draw, the generated program and the feedback
-    set of slot [n] never depend on execution timing — so the outcome
-    is identical at any job count; only wall-clock changes.
 
     [recorder] (none by default) attaches a {!Difftest.Recorder} flight
     recorder: every first-seen inconsistency — cross {e and} within —
@@ -81,7 +74,7 @@ val run :
     snapshot's offset {e before} subscribing its sink
     ({!Checkpoint.reopen_trace}). A resumed campaign's outcome, trace
     bytes and case archives are identical to the uninterrupted run's,
-    at any kill point and any job count.
+    at any kill point.
 
     [grow_seeds] (default empty) is the grow arm's external seed pool —
     typically archived cases loaded with {!Reduce.grow_pool} from a
@@ -102,7 +95,7 @@ val run :
     as an {!Obs.Event.Arm_chosen} event just before [Slot_started].
 
     [slot_offset] (default 0) shifts every {e reported} slot number —
-    trace events and their ordering stamps, archived-case provenance,
+    trace events, archived-case provenance,
     coverage recordings — by the given amount, without touching the
     loop itself: RNG draws, feedback decisions, checkpoint contents and
     resume logic all keep the campaign-local [1..budget] indices. The
@@ -110,6 +103,13 @@ val run :
     [slot_offset = first_slot - 1], so merged traces and ledgers carry
     globally unique slot numbers. At offset 0, behaviour is
     bit-identical to before the parameter existed. *)
+
+val check_resume : dir:string -> Checkpoint.t -> (unit, string) result
+(** Decode the bandit posterior of a snapshot {!Checkpoint.load}ed from
+    [dir] (which that layer keeps opaque). A damaged posterior, or a
+    bandit snapshot without one, is an [Error] naming the file and
+    line 1, so a resume can refuse it before any slot runs instead of
+    {!run} raising [Invalid_argument]. Call it right after the load. *)
 
 val admit :
   string ->
@@ -121,9 +121,9 @@ val admit :
 val signature : outcome -> int * int * int * int * float
 (** (total inconsistencies, total comparisons, feedback-set size,
     generation failures, simulated seconds): the outcome fields that
-    every determinism drill asserts invariant — under job count,
-    checkpoint/resume and attached observers. Shared by the equivalence
-    tests so they all compare the same key. *)
+    every determinism drill asserts invariant — under checkpoint/resume,
+    attached observers and the experiment suite's job count. Shared by
+    the equivalence tests so they all compare the same key. *)
 
 val strategy_mix_probability : float
 (** 0.5 — the paper's fixed probability of choosing Feedback-Based

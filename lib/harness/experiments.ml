@@ -13,13 +13,11 @@ let run_suite ?(budget = 1000) ?(jobs = 1) ~seed () =
   let campaign (k, approach) =
     Obs.Span.with_span
       ("campaign." ^ String.lowercase_ascii (Approach.name approach))
-      (fun () -> Campaign.run ~budget ~jobs ~seed:(sub k) approach)
+      (fun () -> Campaign.run ~budget ~seed:(sub k) approach)
   in
   (* The five campaigns draw from decorrelated seed streams and share no
      mutable state beyond the domain-safe observability layer, so they
-     fan out across the pool as independent units (the coarsest grain
-     available); inside a pool worker the nested per-slot fan-out
-     degrades to sequential automatically. *)
+     fan out across the pool as independent units. *)
   match
     Exec.Pool.map ~jobs campaign
       [ (1, Approach.Varity); (2, Approach.Direct_prompt);

@@ -26,11 +26,9 @@ val run_suite : ?budget:int -> ?jobs:int -> seed:int -> unit -> suite
     ensemble) with decorrelated seeds derived from [seed].
 
     [jobs] (default 1) is the size of the shared {!Exec.Pool}: the
-    independent campaigns fan out across it, and each campaign's
-    per-slot configuration matrix does too (nested fan-out degrades to
-    sequential inside a pool worker, so there is no oversubscription).
-    Every campaign owns its RNG, simulated clock, LLM client and stats,
-    so the suite is byte-identical at any job count. *)
+    independent campaigns fan out across it, each running its slots
+    sequentially. Every campaign owns its RNG, simulated clock, LLM
+    client and stats, so the suite is byte-identical at any job count. *)
 
 val outcome : suite -> Approach.t -> Campaign.outcome
 

@@ -157,8 +157,8 @@ let precision_name = function Lang.Ast.F64 -> "fp64" | Lang.Ast.F32 -> "fp32"
 
 type chunk_run = Skipped | Resumed | Fresh
 
-let run_chunk ?(jobs = 1) ?(precision = Lang.Ast.F64) ?(interval = 5) ~root
-    approach (slice : Shard.slice) =
+let run_chunk ?(precision = Lang.Ast.F64) ?(interval = 5) ~root approach
+    (slice : Shard.slice) =
   let dir = chunk_dir ~root slice.Shard.chunk in
   let done_path = outcome_path dir in
   if Sys.file_exists done_path then
@@ -178,11 +178,13 @@ let run_chunk ?(jobs = 1) ?(precision = Lang.Ast.F64) ?(interval = 5) ~root
     let ckpt = checkpoint_path dir in
     let* resume =
       if Sys.file_exists (Checkpoint.path ~dir:ckpt) then
-        Result.map Option.some (Checkpoint.load ~dir:ckpt)
+        let* snap = Checkpoint.load ~dir:ckpt in
+        let* () = Campaign.check_resume ~dir:ckpt snap in
+        Ok (Some snap)
       else Ok None
     in
     let campaign () =
-      Campaign.run ~budget:slice.Shard.budget ~precision ~jobs ~recorder
+      Campaign.run ~budget:slice.Shard.budget ~precision ~recorder
         ~checkpoint:(ckpt, interval) ?resume
         ~slot_offset:(slice.Shard.first_slot - 1) ~seed:slice.Shard.seed
         approach
@@ -195,8 +197,7 @@ let run_chunk ?(jobs = 1) ?(precision = Lang.Ast.F64) ?(interval = 5) ~root
       in
       Fun.protect
         ~finally:(fun () -> close_out oc)
-        (fun () ->
-          Obs.Trace.with_sink (Obs.Sink.ordered (Obs.Sink.jsonl oc)) campaign)
+        (fun () -> Obs.Trace.with_sink (Obs.Sink.jsonl oc) campaign)
     in
     let fingerprints, _, _ = Difftest.Recorder.snapshot recorder in
     let outcome =
@@ -220,15 +221,13 @@ let run_chunk ?(jobs = 1) ?(precision = Lang.Ast.F64) ?(interval = 5) ~root
     Ok (outcome, if resume = None then Fresh else Resumed)
   end
 
-let run_shard ?chunk ?jobs ?precision ?interval ?on_chunk ~root ~spec ~budget
-    ~seed approach =
+let run_shard ?chunk ?precision ?interval ?on_chunk ~root ~spec ~budget ~seed
+    approach =
   let slices = Shard.assigned spec (Shard.plan ?chunk ~budget ~seed ()) in
   List.fold_left
     (fun acc slice ->
       let* acc = acc in
-      let* outcome, how =
-        run_chunk ?jobs ?precision ?interval ~root approach slice
-      in
+      let* outcome, how = run_chunk ?precision ?interval ~root approach slice in
       Option.iter (fun f -> f outcome how) on_chunk;
       Ok (outcome :: acc))
     (Ok []) slices

@@ -70,7 +70,6 @@ type chunk_run =
   | Fresh    (** ran from slot 1 of the chunk *)
 
 val run_chunk :
-  ?jobs:int ->
   ?precision:Lang.Ast.precision ->
   ?interval:int ->
   root:string ->
@@ -81,14 +80,13 @@ val run_chunk :
     {!Campaign.run} with the slice's derived seed, budget and
     [slot_offset = first_slot - 1], recording into the chunk archive,
     checkpointing every [interval] slots (default 5) into the chunk's
-    checkpoint directory, and writing the chunk's ordered JSONL trace
+    checkpoint directory, and writing the chunk's JSONL trace
     (the trace sink is process-global, so in-process shards must take
     turns). A pre-existing [outcome.json] is
     validated against the slice and returned as {!Skipped}. *)
 
 val run_shard :
   ?chunk:int ->
-  ?jobs:int ->
   ?precision:Lang.Ast.precision ->
   ?interval:int ->
   ?on_chunk:(chunk_outcome -> chunk_run -> unit) ->

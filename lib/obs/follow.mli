@@ -22,7 +22,7 @@
 
     Following a live trace and then concatenating every batch yields
     the byte-identical event stream of a one-shot read of the completed
-    file (test-asserted at jobs 1 and 4). Followers never write;
+    file (test-asserted). Followers never write;
     attaching one to a live campaign is purely observational. *)
 
 type t

@@ -65,32 +65,10 @@ let sim_now () =
   | Some c -> Util.Sim_clock.elapsed c
   | None -> 0.0
 
-(* Charges made inside a [deferred] task, newest first. *)
-let ledger_key : float list ref option Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> None)
-
 let charge_sim seconds =
-  match Domain.DLS.get ledger_key with
-  | Some ledger -> ledger := seconds :: !ledger
-  | None -> (
-    match Domain.DLS.get clock_key with
-    | Some c -> Util.Sim_clock.advance c seconds
-    | None -> ())
-
-(* A pool task may run in a worker domain, which has no clock attached,
-   and tasks finish in any order. So a task records its charges, and
-   the submitting domain replays every task's charges in input order:
-   the same additions, in the same order, as running the tasks inline. *)
-let deferred f =
-  let saved = Domain.DLS.get ledger_key in
-  let ledger = ref [] in
-  Domain.DLS.set ledger_key (Some ledger);
-  let v = Fun.protect ~finally:(fun () -> Domain.DLS.set ledger_key saved) f in
-  (v, !ledger)
-
-let settle results =
-  List.iter (fun (_, charges) -> List.iter charge_sim (List.rev charges)) results;
-  List.map fst results
+  match Domain.DLS.get clock_key with
+  | Some c -> Util.Sim_clock.advance c seconds
+  | None -> ()
 
 let record path dt dsim =
   let table = Domain.DLS.get local_table in

@@ -39,21 +39,8 @@ val charge_sim : float -> unit
 (** Charge simulated seconds to the attached clock, if any (no-op
     otherwise). Lets layers that cannot see the campaign's clock —
     the compiler driver's retry backoff — account deterministic
-    modelled costs. Domain-local, like the attachment itself. *)
-
-val deferred : (unit -> 'a) -> 'a * float list
-(** Run a pool task with its {!charge_sim} calls recorded instead of
-    applied. Returns the result and the recorded charges. *)
-
-val settle : ('a * float list) list -> 'a list
-(** Apply the charges {!deferred} recorded, task by task in list order,
-    and return the results. A fan-out that wraps each task in
-    [deferred] and settles the results in the submitting domain charges
-    the same simulated time at any job count — a worker domain has no
-    clock of its own. A settled charge counts in the spans open around
-    [settle] (the fan-out's span), not in the spans the task opened, so
-    at jobs = 1 too a task's own spans record no simulated time for
-    it. *)
+    modelled costs. The charge counts in every span open around the
+    call. Domain-local, like the attachment itself. *)
 
 val with_span : string -> (unit -> 'a) -> 'a
 (** Run the thunk, attributing its duration to [label] nested under the

@@ -6,11 +6,7 @@
    Domain safety: the sink list lives in an [Atomic.t] so [on ()] stays
    lock-free; subscription changes and event delivery serialize on one
    mutex, so a sink's [emit] is never invoked concurrently (JSONL lines
-   from pool workers cannot interleave mid-line). Event *arrival* order
-   across domains follows completion order, but each event is stamped
-   with its deterministic (slot, lane, seq) coordinates so an ordered
-   sink (Sink.ordered) can restore the sequential order at any job
-   count. *)
+   from campaigns on different domains cannot interleave mid-line). *)
 
 type subscription = int
 
@@ -36,9 +32,8 @@ let on () = Atomic.get sinks <> []
 (* Slot context: the campaign loop brackets each budget slot so that
    events emitted from layers that do not know the slot number (compiler
    driver, difftest) can still be correlated. The context is
-   domain-local: parallel sections re-establish it inside each task
-   (see Difftest.Run), and concurrent campaigns on different domains
-   keep independent slots. *)
+   domain-local, so concurrent campaigns on different domains keep
+   independent slots. *)
 
 let slot_ctx : int option Domain.DLS.key = Domain.DLS.new_key (fun () -> None)
 
@@ -49,37 +44,11 @@ let with_slot slot f =
   Domain.DLS.set slot_ctx (Some slot);
   Fun.protect ~finally:(fun () -> Domain.DLS.set slot_ctx saved) f
 
-(* Lane context: a parallel fan-out brackets each task with its input
-   index so the task's events carry a deterministic intra-slot sort key
-   (the per-lane sequence counter restarts at [seq], default 0, for
-   every task). [?seq] lets a caller that split one historic task into
-   phases re-enter the lane and continue its numbering — stamps must
-   stay unique per (slot, lane) or ordered sinks lose determinism. *)
-
-let lane_ctx : (int * int ref) option Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> None)
-
-let with_lane ?(seq = 0) lane f =
-  let saved = Domain.DLS.get lane_ctx in
-  Domain.DLS.set lane_ctx (Some (lane, ref seq));
-  Fun.protect ~finally:(fun () -> Domain.DLS.set lane_ctx saved) f
-
-let current_stamp () =
-  let slot = match Domain.DLS.get slot_ctx with Some s -> s | None -> -1 in
-  match Domain.DLS.get lane_ctx with
-  | None -> { Sink.slot; lane = -1; seq = 0 }
-  | Some (lane, next_seq) ->
-    let seq = !next_seq in
-    incr next_seq;
-    { Sink.slot; lane; seq }
-
 let emit ev =
-  let stamp = current_stamp () in
   Mutex.lock lock;
   Fun.protect
     ~finally:(fun () -> Mutex.unlock lock)
-    (fun () ->
-      List.iter (fun (_, s) -> Sink.deliver s stamp ev) (Atomic.get sinks))
+    (fun () -> List.iter (fun (_, s) -> Sink.deliver s ev) (Atomic.get sinks))
 
 let event make = if on () then emit (make ())
 

@@ -7,11 +7,10 @@
 
     Domain safety: delivery serializes on a mutex (sink [emit]s never
     run concurrently, so JSONL lines cannot interleave mid-line) and
-    the slot/lane contexts are domain-local. Event {e arrival} order
-    across domains follows completion order, but every event carries a
-    deterministic [(slot, lane, seq)] {!Sink.stamp} — wrap a sink in
-    {!Sink.ordered} to restore the sequential order at any job count
-    (what the CLI's [--trace] does). *)
+    the slot context is domain-local. Campaigns running on several
+    domains at once (the experiment suite at [jobs > 1]) interleave
+    their events in completion order; one campaign's events arrive in
+    the order it emits them. *)
 
 type subscription
 
@@ -23,8 +22,7 @@ val on : unit -> bool
     [if Trace.on () then Trace.emit (Event.… )]. *)
 
 val emit : Event.t -> unit
-(** Deliver to every subscribed sink, in subscription order, stamped
-    with the current slot/lane context. *)
+(** Deliver to every subscribed sink, in subscription order. *)
 
 val event : (unit -> Event.t) -> unit
 (** [event make] = [if on () then emit (make ())] — convenience for
@@ -47,14 +45,3 @@ val current_slot : unit -> int option
 val with_slot : int -> (unit -> 'a) -> 'a
 (** Bracket one budget slot; nested layers pick the slot up via
     {!current_slot} when building their events. *)
-
-val with_lane : ?seq:int -> int -> (unit -> 'a) -> 'a
-(** Bracket one task of a parallel fan-out. [lane] must be the task's
-    deterministic input index (e.g. the configuration's position in the
-    matrix), {e not} anything completion-ordered: events emitted inside
-    are stamped [(slot, lane, seq)], [(slot, lane, seq+1)], … with [seq]
-    defaulting to 0, so an {!Sink.ordered} sink can restore sequential
-    order. A caller that split one historic task into phases passes
-    [?seq] to continue the lane's numbering — stamps must stay unique
-    per (slot, lane) or ordered-sink output becomes arrival-ordered.
-    Nests: an inner lane shadows the outer one for its extent. *)

@@ -10,7 +10,7 @@
     ({!Difftest.Case.to_analytics}) and their histograms into
     {!latency}. Both renderings are deterministic functions of the
     input (no wall-clock, no hash order): a fixed-seed campaign
-    produces a byte-identical dashboard at any job count. *)
+    produces a byte-identical dashboard. *)
 
 type case = {
   fingerprint : string;  (** content hash, the case's identity *)

@@ -47,8 +47,8 @@ let read_file path =
 (* Campaign fixtures *)
 
 (* A case archive as comparable bytes: (filename, contents) sorted by
-   name. The shape every byte-identity drill (checkpoint resume, jobs
-   invariance, fleet shard invariance) compares on. *)
+   name. The shape every byte-identity drill (checkpoint resume, fleet
+   shard invariance) compares on. *)
 let archive_bytes dir =
   if not (Sys.file_exists dir) then []
   else
@@ -56,12 +56,12 @@ let archive_bytes dir =
     |> List.map (fun name -> (name, read_file (Filename.concat dir name)))
 
 (* The one mini-campaign fixture the forensics, checkpoint, harness,
-   fleet and observer suites share: a fixed-seed recorded +
-   ordered-traced campaign under [root], returning the outcome plus the
+   fleet and observer suites share: a fixed-seed recorded + traced
+   campaign under [root], returning the outcome plus the
    trace file and archive directory it wrote. The trace is written
    unbuffered, so a concurrent follower sees it grow write by write,
    torn lines included, instead of in 64 KiB flushes. *)
-let run_traced_campaign ?(budget = 20) ?(jobs = 1) ?(seed = 20250704)
+let run_traced_campaign ?(budget = 20) ?(seed = 20250704)
     ?(approach = Harness.Approach.Llm4fp) ?(grow_seeds = []) ~root () =
   Util.Durable.mkdir_p root;
   let arch = Filename.concat root "cases" in
@@ -73,11 +73,8 @@ let run_traced_campaign ?(budget = 20) ?(jobs = 1) ?(seed = 20250704)
     Fun.protect
       ~finally:(fun () -> close_out oc)
       (fun () ->
-        Obs.Trace.with_sink
-          (Obs.Sink.ordered (Obs.Sink.jsonl oc))
-          (fun () ->
-            Harness.Campaign.run ~budget ~jobs ~recorder ~grow_seeds ~seed
-              approach))
+        Obs.Trace.with_sink (Obs.Sink.jsonl oc) (fun () ->
+            Harness.Campaign.run ~budget ~recorder ~grow_seeds ~seed approach))
   in
   (outcome, trace, arch)
 

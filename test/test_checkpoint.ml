@@ -2,7 +2,7 @@
    injection, bounded retry, and the headline property — a campaign
    killed at any point and resumed from its last checkpoint finishes
    with the same outcome, the same trace bytes and the same case
-   archive as one that never crashed, at any job count. *)
+   archive as one that never crashed. *)
 
 open Helpers
 
@@ -175,11 +175,33 @@ let test_checkpoint_load_errors () =
        Harness.Approach.Llm4fp);
   let path = Checkpoint.path ~dir in
   let whole = read_file path in
+  let write text =
+    let oc = open_out_bin path in
+    output_string oc text;
+    close_out oc
+  in
+  (* Damage file line [n] (1-based) with [f]; the error must name it.
+     Lines 1-4 are header, client, stats and coverage, so the slots
+     start on line 5. *)
+  let damaged_at n what f =
+    write
+      (String.concat "\n"
+         (List.mapi
+            (fun i l -> if i = n - 1 then f l else l)
+            (String.split_on_char '\n' whole)));
+    match Checkpoint.load ~dir with
+    | Ok _ -> Alcotest.failf "loaded a checkpoint with a damaged %s" what
+    | Error msg ->
+      check_bool
+        (Printf.sprintf "%s located at line %d: %s" what n msg)
+        true
+        (Util.Text.contains_sub msg (Printf.sprintf "%s: line %d:" path n))
+  in
+  damaged_at 3 "stats line" (fun _ -> {|{"schema":"llm4fp-stats/1"}|});
+  damaged_at 7 "slot line" (fun l -> String.sub l 0 (String.length l / 2));
   (* drop the last line: the slot count in the header no longer matches *)
   let cut = String.rindex_from whole (String.length whole - 2) '\n' in
-  let oc = open_out_bin path in
-  output_string oc (String.sub whole 0 (cut + 1));
-  close_out oc;
+  write (String.sub whole 0 (cut + 1));
   match Checkpoint.load ~dir with
   | Ok _ -> Alcotest.fail "loaded a truncated checkpoint"
   | Error msg ->
@@ -270,7 +292,7 @@ let reference =
 (* Kill a checkpointing campaign with the injected [faults] plan (which
    must fire), resume from the surviving snapshot, and require the
    finished run to be indistinguishable from the reference. *)
-let check_kill_resume ~name ~jobs faults =
+let check_kill_resume ~name faults =
   let ref_sig, ref_trace, ref_archive = Lazy.force reference in
   with_tmpdir ~prefix:("llm4fp-ckpt-" ^ name) @@ fun root ->
   Util.Durable.mkdir_p root;
@@ -287,11 +309,9 @@ let check_kill_resume ~name ~jobs faults =
     Fun.protect
       ~finally:(fun () -> close_out oc)
       (fun () ->
-        Obs.Trace.with_sink
-          (Obs.Sink.ordered (Obs.Sink.jsonl oc))
-          (fun () ->
+        Obs.Trace.with_sink (Obs.Sink.jsonl oc) (fun () ->
             match
-              Harness.Campaign.run ~budget ~jobs ~recorder
+              Harness.Campaign.run ~budget ~recorder
                 ~checkpoint:(ckpt, interval) ~seed Harness.Approach.Llm4fp
             with
             | exception Exec.Faults.Crash_injected _ -> true
@@ -308,10 +328,8 @@ let check_kill_resume ~name ~jobs faults =
       Fun.protect
         ~finally:(fun () -> close_out oc)
         (fun () ->
-          Obs.Trace.with_sink
-            (Obs.Sink.ordered (Obs.Sink.jsonl oc))
-            (fun () ->
-              Harness.Campaign.run ~budget ~jobs ~recorder
+          Obs.Trace.with_sink (Obs.Sink.jsonl oc) (fun () ->
+              Harness.Campaign.run ~budget ~recorder
                 ~checkpoint:(ckpt, interval) ~resume:snap ~seed
                 Harness.Approach.Llm4fp))
     in
@@ -322,18 +340,15 @@ let check_kill_resume ~name ~jobs faults =
       (archive_bytes arch = ref_archive)
 
 let test_kill_at_checkpoint_write () =
-  check_kill_resume ~name:"ckpt2-j1" ~jobs:1 "checkpoint@2:crash"
+  check_kill_resume ~name:"ckpt2" "checkpoint@2:crash"
 
-let test_kill_at_late_checkpoint_jobs4 () =
-  check_kill_resume ~name:"ckpt3-j4" ~jobs:4 "checkpoint@3:crash"
+let test_kill_at_late_checkpoint () =
+  check_kill_resume ~name:"ckpt3" "checkpoint@3:crash"
 
 let test_kill_mid_slot () =
   (* dies mid-slot (execution ~slot 10 — dedup leaves ~12 distinct
      executions per slot), well past the first snapshot *)
-  check_kill_resume ~name:"exec-j1" ~jobs:1 "exec@120:crash"
-
-let test_kill_mid_slot_jobs4 () =
-  check_kill_resume ~name:"exec-j4" ~jobs:4 "exec@120:crash"
+  check_kill_resume ~name:"exec" "exec@120:crash"
 
 (* ------------------------------------------------------------------ *)
 (* Bandit kill-and-resume: the arm posteriors, their dedicated RNG
@@ -363,7 +378,7 @@ let bandit_reference =
      (signature outcome, bandit_posterior outcome, read_file trace,
       archive_bytes arch))
 
-let check_bandit_kill_resume ~name ~jobs faults =
+let check_bandit_kill_resume ~name faults =
   let ref_sig, ref_post, ref_trace, ref_archive = Lazy.force bandit_reference in
   let grow_seeds = Lazy.force bandit_grow_seeds in
   with_tmpdir ~prefix:("llm4fp-bandit-" ^ name) @@ fun root ->
@@ -381,11 +396,9 @@ let check_bandit_kill_resume ~name ~jobs faults =
     Fun.protect
       ~finally:(fun () -> close_out oc)
       (fun () ->
-        Obs.Trace.with_sink
-          (Obs.Sink.ordered (Obs.Sink.jsonl oc))
-          (fun () ->
+        Obs.Trace.with_sink (Obs.Sink.jsonl oc) (fun () ->
             match
-              Harness.Campaign.run ~budget ~jobs ~recorder
+              Harness.Campaign.run ~budget ~recorder
                 ~checkpoint:(ckpt, interval) ~grow_seeds ~seed
                 Harness.Approach.Bandit
             with
@@ -405,13 +418,11 @@ let check_bandit_kill_resume ~name ~jobs faults =
       Fun.protect
         ~finally:(fun () -> close_out oc)
         (fun () ->
-          Obs.Trace.with_sink
-            (Obs.Sink.ordered (Obs.Sink.jsonl oc))
-            (fun () ->
+          Obs.Trace.with_sink (Obs.Sink.jsonl oc) (fun () ->
               (* the resumed run still passes the caller's pool; the
                  snapshot's rendering of it must win (and here they
                  coincide, which is exactly the round-trip) *)
-              Harness.Campaign.run ~budget ~jobs ~recorder
+              Harness.Campaign.run ~budget ~recorder
                 ~checkpoint:(ckpt, interval) ~resume:snap ~grow_seeds ~seed
                 Harness.Approach.Bandit))
     in
@@ -424,10 +435,10 @@ let check_bandit_kill_resume ~name ~jobs faults =
       (archive_bytes arch = ref_archive)
 
 let test_bandit_kill_at_checkpoint () =
-  check_bandit_kill_resume ~name:"ckpt2-j1" ~jobs:1 "checkpoint@2:crash"
+  check_bandit_kill_resume ~name:"ckpt2" "checkpoint@2:crash"
 
-let test_bandit_kill_mid_slot_jobs4 () =
-  check_bandit_kill_resume ~name:"exec-j4" ~jobs:4 "exec@120:crash"
+let test_bandit_kill_mid_slot () =
+  check_bandit_kill_resume ~name:"exec" "exec@120:crash"
 
 (* Checkpointing off the hot path: attaching it must change nothing. *)
 let test_checkpointing_is_invisible () =
@@ -443,9 +454,7 @@ let test_checkpointing_is_invisible () =
     Fun.protect
       ~finally:(fun () -> close_out oc)
       (fun () ->
-        Obs.Trace.with_sink
-          (Obs.Sink.ordered (Obs.Sink.jsonl oc))
-          (fun () ->
+        Obs.Trace.with_sink (Obs.Sink.jsonl oc) (fun () ->
             Harness.Campaign.run ~budget ~recorder
               ~checkpoint:(ckpt, interval) ~seed Harness.Approach.Llm4fp))
   in
@@ -488,11 +497,9 @@ let () =
         [
           Alcotest.test_case "crash at 2nd checkpoint (jobs 1)" `Slow
             test_kill_at_checkpoint_write;
-          Alcotest.test_case "crash at 3rd checkpoint (jobs 4)" `Slow
-            test_kill_at_late_checkpoint_jobs4;
+          Alcotest.test_case "crash at 3rd checkpoint" `Slow
+            test_kill_at_late_checkpoint;
           Alcotest.test_case "crash mid-slot (jobs 1)" `Slow test_kill_mid_slot;
-          Alcotest.test_case "crash mid-slot (jobs 4)" `Slow
-            test_kill_mid_slot_jobs4;
           Alcotest.test_case "checkpointing is invisible" `Slow
             test_checkpointing_is_invisible;
         ] );
@@ -500,7 +507,6 @@ let () =
         [
           Alcotest.test_case "crash at 2nd checkpoint (jobs 1)" `Slow
             test_bandit_kill_at_checkpoint;
-          Alcotest.test_case "crash mid-slot (jobs 4)" `Slow
-            test_bandit_kill_mid_slot_jobs4;
+          Alcotest.test_case "crash mid-slot" `Slow test_bandit_kill_mid_slot;
         ] );
     ]

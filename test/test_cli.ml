@@ -98,6 +98,45 @@ let test_resume_unparseable_skeleton () =
     (contains err (path ^ ": line 2:")
     && List.length (String.split_on_char '\n' (String.trim err)) = 1)
 
+(* A checkpoint whose bandit posterior no longer decodes — a field of the
+   wrong type, an unknown arm — is refused at --resume with one located
+   stderr line and exit 1, before any slot runs. *)
+let test_resume_damaged_bandit_posterior () =
+  with_tmpdir @@ fun dir ->
+  let code, _, err =
+    run
+      (Printf.sprintf
+         "campaign --bandit -b 30 -s 4242 --checkpoint %s --checkpoint-every 10"
+         (Filename.quote dir))
+  in
+  check_int ("checkpointed campaign exits 0: " ^ err) 0 code;
+  let path = Checkpoint.path ~dir in
+  let whole = read_file path in
+  List.iter
+    (fun (sub, by) ->
+      let n = String.length sub in
+      let rec find i =
+        if i + n > String.length whole then Alcotest.failf "no %s to damage" sub
+        else if String.sub whole i n = sub then i
+        else find (i + 1)
+      in
+      let at = find 0 in
+      let oc = open_out_bin path in
+      output_string oc
+        (String.sub whole 0 at ^ by
+        ^ String.sub whole (at + n) (String.length whole - at - n));
+      close_out oc;
+      let code, out, err =
+        run (Printf.sprintf "campaign --bandit --resume %s" (Filename.quote dir))
+      in
+      check_int (by ^ ": exit 1") 1 code;
+      check_string (by ^ ": nothing printed") "" out;
+      check_bool (by ^ ": one located line: " ^ err) true
+        (contains err (path ^ ": line 1: bandit state:")
+        && List.length (String.split_on_char '\n' (String.trim err)) = 1))
+    [ ({|"epsilon":0.1|}, {|"epsilon":"x"|});
+      ({|"arm":"mutate"|}, {|"arm":"mutat"|}) ]
+
 let subcommands =
   [ "generate"; "matrix"; "campaign"; "fleet"; "merge"; "tables"; "corpus";
     "ablation"; "precision"; "profile"; "explain"; "fuzz"; "dashboard";
@@ -531,6 +570,8 @@ let () =
             test_matrix_file_is_directory;
           Alcotest.test_case "resume: unparseable skeleton" `Quick
             test_resume_unparseable_skeleton;
+          Alcotest.test_case "resume: damaged bandit posterior" `Quick
+            test_resume_damaged_bandit_posterior;
         ] );
       ( "watch",
         [

@@ -241,8 +241,8 @@ void compute(float x) {
 
 let test_matrix_matches_independent_compiles () =
   (* The shared front-end cache must be invisible: a [matrix] over the
-     full 18-configuration list — at any job count — produces binaries
-     byte-identical to 18 independent [compile] calls. *)
+     full 18-configuration list produces binaries byte-identical to 18
+     independent [compile] calls. *)
   let p = parse simple in
   let independent =
     List.map
@@ -252,50 +252,39 @@ let test_matrix_matches_independent_compiles () =
         | Error msg -> Alcotest.failf "compile failed: %s" msg)
       all_configs
   in
-  let via_matrix jobs =
+  let via_matrix =
     List.map
       (function
         | Either.Left (_, bin) -> bin
         | Either.Right (cfg, msg) ->
           Alcotest.failf "matrix failed at %s: %s" (Compiler.Config.name cfg) msg)
-      (Compiler.Driver.matrix ~jobs p)
+      (Compiler.Driver.matrix p)
   in
-  let check_same label cached =
-    List.iter2
-      (fun (a : Compiler.Driver.binary) (b : Compiler.Driver.binary) ->
-        Alcotest.(check string)
-          (label ^ ": same config")
-          (Compiler.Config.name a.config) (Compiler.Config.name b.config);
-        Alcotest.(check string)
-          (label ^ ": same translation unit")
-          a.source b.source;
-        check_bool (label ^ ": same optimized IR") true
-          (Irsim.Ir.equal a.ir b.ir);
-        check_int (label ^ ": same work") a.work b.work)
-      independent cached
-  in
-  check_same "jobs=1" (via_matrix 1);
-  check_same "jobs=4" (via_matrix 4)
+  List.iter2
+    (fun (a : Compiler.Driver.binary) (b : Compiler.Driver.binary) ->
+      Alcotest.(check string) "same config"
+        (Compiler.Config.name a.config) (Compiler.Config.name b.config);
+      Alcotest.(check string) "same translation unit" a.source b.source;
+      check_bool "same optimized IR" true (Irsim.Ir.equal a.ir b.ir);
+      check_int "same work" a.work b.work)
+    independent via_matrix
 
 let test_frontend_cache_two_runs () =
   (* 18 configurations touch exactly two translation units (host C,
-     device CUDA): 2 front-end runs, 16 cache hits, at any job count. *)
+     device CUDA): 2 front-end runs, 16 cache hits. *)
   let runs = Obs.Metrics.counter "compiler.frontend.runs" in
   let hits = Obs.Metrics.counter "compiler.frontend.cache_hits" in
-  List.iter
-    (fun jobs ->
-      let p = parse simple in
-      let runs0 = Obs.Metrics.counter_value runs in
-      let hits0 = Obs.Metrics.counter_value hits in
-      ignore (Compiler.Driver.matrix ~jobs p);
-      check_int "front end ran twice" 2 (Obs.Metrics.counter_value runs - runs0);
-      check_int "16 cache hits" 16 (Obs.Metrics.counter_value hits - hits0))
-    [ 1; 4 ]
+  let p = parse simple in
+  let runs0 = Obs.Metrics.counter_value runs in
+  let hits0 = Obs.Metrics.counter_value hits in
+  ignore (Compiler.Driver.matrix p);
+  check_int "front end ran twice" 2 (Obs.Metrics.counter_value runs - runs0);
+  check_int "16 cache hits" 16 (Obs.Metrics.counter_value hits - hits0)
 
 (* One flattened program per distinct binary: two binaries of a program
    share a [vm] exactly when their (optimized IR, runtime) pairs are
-   structurally equal, on either target, at any job count, and every
-   binary keeps its own configuration. [predicted] names each
+   structurally equal, on either target, and every binary keeps its own
+   configuration. [predicted] names each
    configuration's pipeline (9 at FP64, 10 at FP32 where nvcc's
    -use_fast_math is no longer -O3): at -O0 gcc and clang ignore
    -ffp-contract=off (they contract nothing unoptimized) while nvcc's
@@ -320,48 +309,46 @@ let test_backend_sharing () =
   in
   List.iter
     (fun (precision, distinct) ->
+      let label =
+        match precision with Lang.Ast.F64 -> "fp64" | Lang.Ast.F32 -> "fp32"
+      in
+      let p = { (parse simple) with Lang.Ast.precision } in
+      let binaries =
+        List.map
+          (function
+            | Either.Left (c, (b : Compiler.Driver.binary)) ->
+              check_string (label ^ ": own config") (Compiler.Config.name c)
+                (Compiler.Config.name b.config);
+              (c, b)
+            | Either.Right (_, msg) -> Alcotest.fail msg)
+          (Compiler.Driver.matrix p)
+      in
+      check_int (label ^ ": 18 binaries") 18 (List.length binaries);
+      let vms =
+        List.fold_left
+          (fun acc (_, (b : Compiler.Driver.binary)) ->
+            if List.memq b.vm acc then acc else b.vm :: acc)
+          [] binaries
+      in
+      check_int (label ^ ": distinct programs") distinct (List.length vms);
+      let pair (b : Compiler.Driver.binary) =
+        (b.ir, Compiler.Config.runtime b.config)
+      in
       List.iter
-        (fun jobs ->
-          let label = Printf.sprintf "%s jobs=%d"
-              (match precision with Lang.Ast.F64 -> "fp64" | Lang.Ast.F32 -> "fp32") jobs in
-          let p = { (parse simple) with Lang.Ast.precision } in
-          let binaries =
-            List.map
-              (function
-                | Either.Left (c, (b : Compiler.Driver.binary)) ->
-                  check_string (label ^ ": own config") (Compiler.Config.name c)
-                    (Compiler.Config.name b.config);
-                  (c, b)
-                | Either.Right (_, msg) -> Alcotest.fail msg)
-              (Compiler.Driver.matrix ~jobs p)
-          in
-          check_int (label ^ ": 18 binaries") 18 (List.length binaries);
-          let vms =
-            List.fold_left
-              (fun acc (_, (b : Compiler.Driver.binary)) ->
-                if List.memq b.vm acc then acc else b.vm :: acc)
-              [] binaries
-          in
-          check_int (label ^ ": distinct programs") distinct (List.length vms);
-          let pair (b : Compiler.Driver.binary) =
-            (b.ir, Compiler.Config.runtime b.config)
-          in
+        (fun (c1, (b1 : Compiler.Driver.binary)) ->
           List.iter
-            (fun (c1, (b1 : Compiler.Driver.binary)) ->
-              List.iter
-                (fun (c2, (b2 : Compiler.Driver.binary)) ->
-                  let what =
-                    Printf.sprintf "%s: %s / %s" label (Compiler.Config.name c1)
-                      (Compiler.Config.name c2)
-                  in
-                  check_bool what (compare (pair b1) (pair b2) = 0)
-                    (b1.vm == b2.vm);
-                  if predicted precision c1 = predicted precision c2 then
-                    check_bool (what ^ ": one pipeline, one program") true
-                      (b1.vm == b2.vm))
-                binaries)
+            (fun (c2, (b2 : Compiler.Driver.binary)) ->
+              let what =
+                Printf.sprintf "%s: %s / %s" label (Compiler.Config.name c1)
+                  (Compiler.Config.name c2)
+              in
+              check_bool what (compare (pair b1) (pair b2) = 0)
+                (b1.vm == b2.vm);
+              if predicted precision c1 = predicted precision c2 then
+                check_bool (what ^ ": one pipeline, one program") true
+                  (b1.vm == b2.vm))
             binaries)
-        [ 1; 4 ])
+        binaries)
     [ (Lang.Ast.F64, 6); (Lang.Ast.F32, 7) ]
 
 (* Fault injection stays per configuration: all 18 configurations reach
@@ -371,60 +358,54 @@ let test_backend_faults_per_config () =
   let retries = Obs.Metrics.counter "retry.compiler.retries" in
   List.iter
     (fun (spec, expected) ->
-      List.iter
-        (fun jobs ->
-          match Exec.Faults.parse spec with
-          | Error msg -> Alcotest.fail msg
-          | Ok plan ->
-            Fun.protect ~finally:Exec.Faults.disarm (fun () ->
-                Exec.Faults.arm plan;
-                let before = Obs.Metrics.counter_value retries in
-                ignore (Compiler.Driver.matrix ~jobs (parse simple));
-                check_int
-                  (Printf.sprintf "%s jobs=%d: retries" spec jobs)
-                  expected
-                  (Obs.Metrics.counter_value retries - before)))
-        [ 1; 4 ])
-    [ ("backend@18:fail", 1); ("backend@19:fail", 0) ]
-
-(* A pool task's retry backoff is recorded and settled by the fan-out,
-   so it counts in the span open around [matrix], not in the task's own
-   [compiler.back_end] span, and the clock advances by the same seconds
-   at every job count. *)
-let test_backend_backoff_in_fanout_span () =
-  let span label =
-    List.find_opt
-      (fun (r : Obs.Span.row) -> r.Obs.Span.label = label)
-      (Obs.Span.summary ())
-  in
-  let sim label = match span label with Some r -> r.Obs.Span.sim_s | None -> 0.0 in
-  let backoff = Exec.Faults.backoff ~attempt:1 in
-  List.iter
-    (fun jobs ->
-      match Exec.Faults.parse "backend@1:fail" with
+      match Exec.Faults.parse spec with
       | Error msg -> Alcotest.fail msg
       | Ok plan ->
-        Obs.Span.reset ();
-        Obs.Span.set_enabled true;
-        Exec.Faults.arm plan;
-        Fun.protect
-          ~finally:(fun () ->
-            Exec.Faults.disarm ();
-            Obs.Span.set_enabled false;
-            Obs.Span.reset ())
-          (fun () ->
-            let clock = Util.Sim_clock.create () in
-            Obs.Span.with_clock clock (fun () ->
-                Obs.Span.with_span "fanout" (fun () ->
-                    ignore (Compiler.Driver.matrix ~jobs (parse simple))));
-            let label what = Printf.sprintf "jobs=%d: %s" jobs what in
-            check_bool (label "clock charged once") true
-              (Util.Sim_clock.elapsed clock = backoff);
-            check_bool (label "fan-out span holds the charge") true
-              (sim "fanout" = backoff);
-            check_bool (label "back-end span saw none") true
-              (span "compiler.back_end" <> None && sim "compiler.back_end" = 0.0)))
-    [ 1; 4 ]
+        Fun.protect ~finally:Exec.Faults.disarm (fun () ->
+            Exec.Faults.arm plan;
+            let before = Obs.Metrics.counter_value retries in
+            ignore (Compiler.Driver.matrix (parse simple));
+            check_int (spec ^ ": retries") expected
+              (Obs.Metrics.counter_value retries - before)))
+    [ ("backend@18:fail", 1); ("backend@19:fail", 0) ]
+
+(* A retried stage's backoff advances the attached clock once, inside
+   the stage's own span, so [compiler.back_end] and the spans around it
+   record it. *)
+let test_backend_backoff_in_stage_span () =
+  let sim label =
+    match
+      List.find_opt
+        (fun (r : Obs.Span.row) -> r.Obs.Span.label = label)
+        (Obs.Span.summary ())
+    with
+    | Some r -> r.Obs.Span.sim_s
+    | None -> 0.0
+  in
+  let backoff = Exec.Faults.backoff ~attempt:1 in
+  match Exec.Faults.parse "backend@1:fail" with
+  | Error msg -> Alcotest.fail msg
+  | Ok plan ->
+    Obs.Span.reset ();
+    Obs.Span.set_enabled true;
+    Exec.Faults.arm plan;
+    Fun.protect
+      ~finally:(fun () ->
+        Exec.Faults.disarm ();
+        Obs.Span.set_enabled false;
+        Obs.Span.reset ())
+      (fun () ->
+        let clock = Util.Sim_clock.create () in
+        Obs.Span.with_clock clock (fun () ->
+            Obs.Span.with_span "outer" (fun () ->
+                ignore (Compiler.Driver.matrix (parse simple))));
+        check_bool "clock charged once" true
+          (Util.Sim_clock.elapsed clock = backoff);
+        check_bool "back-end span holds the charge" true
+          (sim "compiler.back_end" = backoff);
+        check_bool "enclosing span holds it too" true (sim "outer" = backoff);
+        check_bool "front-end span saw none" true
+          (sim "compiler.front_end" = 0.0))
 
 let qcheck_matrix_compiles_varity =
   QCheck.Test.make ~name:"every Varity program compiles everywhere" ~count:100
@@ -478,8 +459,8 @@ let () =
             test_backend_sharing;
           Alcotest.test_case "back-end faults per configuration" `Quick
             test_backend_faults_per_config;
-          Alcotest.test_case "back-end backoff in fan-out span" `Quick
-            test_backend_backoff_in_fanout_span;
+          Alcotest.test_case "back-end backoff in stage span" `Quick
+            test_backend_backoff_in_stage_span;
           QCheck_alcotest.to_alcotest qcheck_matrix_compiles_varity;
           QCheck_alcotest.to_alcotest qcheck_work_positive;
         ] );

@@ -332,6 +332,34 @@ let test_coverage_keys () =
           && k.Obs.Coverage.classes.[0] = '{'))
       keys
 
+(* One pass in configuration order: even through a plain sink, which
+   reorders nothing, each configuration's Compiled event is followed
+   directly by its Executed event, and the 18 pairs come before the
+   comparison events. *)
+let test_trace_order_plain_sink () =
+  let sink, events = Obs.Sink.ring ~capacity:256 () in
+  Obs.Trace.with_sink sink (fun () ->
+      ignore
+        (Difftest.Run.test (parse chaotic) Irsim.Inputs.[ Fp 0.7; Fp 0.3 ]));
+  let seen =
+    List.map (fun ev -> (Obs.Event.name ev, Obs.Event.config ev)) (events ())
+  in
+  let pairs =
+    List.concat_map
+      (fun c ->
+        let name = Some (Compiler.Config.name c) in
+        [ ("compiled", name); ("executed", name) ])
+      (Compiler.Config.all ())
+  in
+  check_int "36 compile/execute events" 36 (List.length pairs);
+  check_bool "compiled then executed per configuration, in order" true
+    (List.filteri (fun i _ -> i < 36) seen = pairs);
+  check_bool "then the inconsistencies and one compared" true
+    (match List.rev (List.filteri (fun i _ -> i >= 36) seen) with
+    | ("compared", None) :: earlier ->
+      List.for_all (fun (kind, _) -> kind = "inconsistency_found") earlier
+    | _ -> false)
+
 let () =
   Alcotest.run "difftest"
     [
@@ -349,6 +377,8 @@ let () =
           Alcotest.test_case "exec dedup across targets" `Quick
             test_exec_dedup_across_targets;
           Alcotest.test_case "coverage keys" `Quick test_coverage_keys;
+          Alcotest.test_case "trace order without a reordering sink" `Quick
+            test_trace_order_plain_sink;
         ] );
       ( "stats",
         [

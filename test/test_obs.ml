@@ -608,57 +608,43 @@ let test_follow_multi_missing_member () =
 
 (* The protocol's core guarantee: streaming a trace through a follower
    in arbitrary small increments yields the byte-identical event stream
-   of a one-shot read — at any job count (the ordered sink makes the
-   file itself identical across job counts, which this also checks). *)
+   of a one-shot read. *)
 let test_follow_stream_equals_one_shot () =
   with_dir @@ fun dir ->
-  let trace ~jobs =
-    let path = Filename.concat dir (Printf.sprintf "trace-j%d.jsonl" jobs) in
-    let oc = open_out_bin path in
-    Fun.protect
-      ~finally:(fun () -> close_out_noerr oc)
-      (fun () ->
-        Obs.Trace.with_sink
-          (Obs.Sink.ordered (Obs.Sink.jsonl oc))
-          (fun () ->
-            ignore
-              (Harness.Campaign.run ~budget:6 ~jobs ~seed:2024
-                 Harness.Approach.Llm4fp)));
-    path
-  in
-  let path1 = trace ~jobs:1 and path4 = trace ~jobs:4 in
-  check_string "trace bytes identical at jobs 1 and 4" (read_file path1)
-    (read_file path4);
+  let path = Filename.concat dir "trace.jsonl" in
+  let oc = open_out_bin path in
+  Fun.protect
+    ~finally:(fun () -> close_out_noerr oc)
+    (fun () ->
+      Obs.Trace.with_sink (Obs.Sink.jsonl oc) (fun () ->
+          ignore
+            (Harness.Campaign.run ~budget:6 ~seed:2024 Harness.Approach.Llm4fp)));
   let one_shot =
-    match Obs.Follow.read_all ~path:path1 with
+    match Obs.Follow.read_all ~path with
     | Ok evs -> evs
     | Error msg -> Alcotest.fail msg
   in
   check_bool "trace is non-trivial" true (List.length one_shot > 20);
-  List.iter
-    (fun src ->
-      let data = read_file src in
-      let dst = Filename.concat dir "stream.jsonl" in
-      let oc = open_out_bin dst in
-      let f = Obs.Follow.create ~path:dst in
-      let streamed = ref [] in
-      let chunk = 7 in
-      let rec feed pos =
-        if pos < String.length data then begin
-          let len = min chunk (String.length data - pos) in
-          output_string oc (String.sub data pos len);
-          flush oc;
-          let b = expect_ok (Obs.Follow.poll f) in
-          streamed := !streamed @ b.Obs.Follow.events;
-          feed (pos + len)
-        end
-      in
-      feed 0;
-      close_out oc;
-      check_bool "streamed batches equal one-shot read" true
-        (!streamed = one_shot);
-      Sys.remove dst)
-    [ path1; path4 ]
+  let data = read_file path in
+  let dst = Filename.concat dir "stream.jsonl" in
+  let oc = open_out_bin dst in
+  let f = Obs.Follow.create ~path:dst in
+  let streamed = ref [] in
+  let chunk = 7 in
+  let rec feed pos =
+    if pos < String.length data then begin
+      let len = min chunk (String.length data - pos) in
+      output_string oc (String.sub data pos len);
+      flush oc;
+      let b = expect_ok (Obs.Follow.poll f) in
+      streamed := !streamed @ b.Obs.Follow.events;
+      feed (pos + len)
+    end
+  in
+  feed 0;
+  close_out oc;
+  check_bool "streamed batches equal one-shot read" true
+    (!streamed = one_shot)
 
 (* ------------------------------------------------------------------ *)
 (* Span tree and flame export *)
@@ -944,7 +930,7 @@ let () =
             test_follow_unknown_event_kind;
           Alcotest.test_case "multi tolerates missing member" `Quick
             test_follow_multi_missing_member;
-          Alcotest.test_case "stream equals one-shot (jobs 1 and 4)" `Slow
+          Alcotest.test_case "stream equals one-shot" `Slow
             test_follow_stream_equals_one_shot;
         ] );
       ( "coverage",
