@@ -278,13 +278,13 @@ let slot_of_json json =
 
 (* Stored C renderings that resume re-parses: checked here, so damage is
    a located [Error] and never a failure after [load] accepted the file. *)
-let check_sources ~path i what sources =
+let check_sources what sources =
   List.fold_left
     (fun acc (k, source) ->
       let* () = acc in
       match Cparse.Parse.program source with
       | Ok _ -> Ok ()
-      | Error msg -> err "%s: line %d: %s %d no longer parses (%s)" path i what k msg)
+      | Error msg -> err "%s %d no longer parses (%s)" what k msg)
     (Ok ())
     (List.mapi (fun k source -> (k + 1, source)) sources)
 
@@ -310,41 +310,45 @@ let load ~dir =
           | [] -> err "%s: empty file" p
           | header_line :: rest ->
               let* header = at 1 (Obs.Json.parse header_line) in
-              let* schema_got = string_field "schema" header in
+              let* schema_got = at 1 (string_field "schema" header) in
               let* () =
                 if schema_got = schema then Ok ()
-                else err "%s: unsupported schema %S" p schema_got
+                else at 1 (err "unsupported schema %S" schema_got)
               in
-              let* seed = int_field "seed" header in
-              let* approach = string_field "approach" header in
-              let* budget = int_field "budget" header in
-              let* precision = string_field "precision" header in
-              let* interval = int_field "interval" header in
-              let* next_slot = int_field "next_slot" header in
+              let* seed = at 1 (int_field "seed" header) in
+              let* approach = at 1 (string_field "approach" header) in
+              let* budget = at 1 (int_field "budget" header) in
+              let* precision = at 1 (string_field "precision" header) in
+              let* interval = at 1 (int_field "interval" header) in
+              let* next_slot = at 1 (int_field "next_slot" header) in
               let* generation_failures =
-                int_field "generation_failures" header
+                at 1 (int_field "generation_failures" header)
               in
-              let* sim_seconds = float_field "sim_seconds" header in
-              let* rng_json = field "rng" header in
-              let* rng = rng_of_json "rng" rng_json in
-              let* input_rng_json = field "input_rng" header in
-              let* input_rng = rng_of_json "input_rng" input_rng_json in
+              let* sim_seconds = at 1 (float_field "sim_seconds" header) in
+              let* rng =
+                at 1 (Result.bind (field "rng" header) (rng_of_json "rng"))
+              in
+              let* input_rng =
+                at 1
+                  (Result.bind (field "input_rng" header)
+                     (rng_of_json "input_rng"))
+              in
               let* trace_offset =
                 match Obs.Json.member "trace_offset" header with
                 | Some Obs.Json.Null -> Ok None
                 | Some (Obs.Json.Int n) -> Ok (Some n)
-                | _ -> err "%s: malformed trace_offset" p
+                | _ -> at 1 (err "malformed trace_offset")
               in
               let* bandit =
                 match Obs.Json.member "bandit" header with
                 | Some Obs.Json.Null -> Ok None
                 | Some (Obs.Json.Obj _ as json) -> Ok (Some json)
-                | _ -> err "%s: malformed bandit state" p
+                | _ -> at 1 (err "malformed bandit state")
               in
-              let* grow_seeds = string_list "grow_seeds" header in
-              let* () = check_sources ~path:p 1 "grow seed" grow_seeds in
-              let* n_slots = int_field "slots" header in
-              let* has_recorder = bool_field "has_recorder" header in
+              let* grow_seeds = at 1 (string_list "grow_seeds" header) in
+              let* () = at 1 (check_sources "grow seed" grow_seeds) in
+              let* n_slots = at 1 (int_field "slots" header) in
+              let* has_recorder = at 1 (bool_field "has_recorder" header) in
               let expected =
                 3 + (if has_recorder then 1 else 0) + n_slots
               in
@@ -359,8 +363,9 @@ let load ~dir =
               let* client_json = at 2 (Obs.Json.parse (List.nth rest 0)) in
               let* client = at 2 (client_of_json client_json) in
               let* () =
-                check_sources ~path:p 2 "client skeleton"
-                  client.Llm.Client.snap_skeletons
+                at 2
+                  (check_sources "client skeleton"
+                     client.Llm.Client.snap_skeletons)
               in
               let* stats_json = at 3 (Obs.Json.parse (List.nth rest 1)) in
               let* stats = at 3 (Difftest.Stats.of_json stats_json) in

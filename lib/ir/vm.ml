@@ -35,6 +35,22 @@ type instr =
   | Store_arr of int * int * int (* array, idx reg, value reg *)
   | Branch of Ast.cmpop * int * int * int (* lhs, rhs, jump when NOT taken *)
   | Loop of int * int * int (* islot reg, bound, back-edge target *)
+  | Loop_ff of int * int * int * ff (* a [Loop] that fast-forwards *)
+
+(* What a fast-forward loop carries from one iteration to the next — the
+   float slots and arrays its body stores to — and where its snapshot of
+   that state lives: float registers [n_fregs + snap] on, one per slot,
+   and [n_fregs + asnap] on, one per array element; and int register
+   [n_iregs + id], the [fp_ops] count at the last back-edge. All sit
+   past the register files [flatten] sizes, so [run] allocates them with
+   the registers. *)
+and ff = {
+  fslots : int list;
+  arrays : int list;
+  snap : int;
+  asnap : int;
+  id : int;
+}
 
 type program = {
   code : instr array;
@@ -44,6 +60,8 @@ type program = {
   iconsts : int array; (* pooled: registers [n_i, n_i + .) *)
   n_fregs : int; (* slots + consts + temps *)
   n_iregs : int;
+  snap_len : int; (* float snapshot registers past [n_fregs] *)
+  n_ff : int; (* fast-forward loops: int registers past [n_iregs] *)
   arr_lens : int array;
   bindings : Ir.param_binding list;
   comp_slot : int;
@@ -100,6 +118,8 @@ let instr_name p ins =
       t
   | Loop (s, bound, back) ->
     Printf.sprintf "loop %s <%d -> %d" (irg s) bound back
+  | Loop_ff (s, bound, back, _) ->
+    Printf.sprintf "loop %s <%d -> %d ff" (irg s) bound back
 
 let disasm p =
   Array.to_list
@@ -139,6 +159,41 @@ let[@inline never] trap array index length =
 let[@inline] check_bounds array index length =
   if index < 0 || index >= length then trap array index length
 
+(* Whether [src.(k)] differs in its bits from snapshot register [s]: NaN
+   payloads and signed zeros are part of the state, so [=] would not do.
+   A differing value is copied into the snapshot. *)
+let[@inline] differs (f : float array) s (src : float array) k =
+  let v = Array.unsafe_get src k in
+  Int64.bits_of_float v <> Int64.bits_of_float (Array.unsafe_get f s)
+  && begin
+    Array.unsafe_set f s v;
+    true
+  end
+
+(* The carried float slots, then arrays, against their snapshots from
+   float register [at] on. *)
+let rec same_slots f at same = function
+  | [] -> same
+  | s :: rest -> same_slots f (at + 1) ((not (differs f at f s)) && same) rest
+
+let rec same_arrays f arrs at same = function
+  | [] -> same
+  | a :: rest ->
+    let arr = Array.unsafe_get arrs a in
+    let same = ref same in
+    for e = 0 to Array.length arr - 1 do
+      if differs f (at + e) arr e then same := false
+    done;
+    same_arrays f arrs (at + Array.length arr) !same rest
+
+(* Compare a fast-forward loop's carried state with its snapshot, which
+   starts [base] registers past its offsets, and leave the current state
+   in the snapshot. True when nothing differed. *)
+let unchanged ff (f : float array) (arrs : float array array) base =
+  same_arrays f arrs (base + ff.asnap)
+    (same_slots f (base + ff.snap) true ff.fslots)
+    ff.arrays
+
 (* Flatten in two passes. Pass 1 validates every slot index and binding
    (so execution can use unsafe accessors) and interns the program's
    constants — float literals pre-rounded to storage precision, folded
@@ -149,7 +204,17 @@ let[@inline] check_bounds array index length =
    depth so results never outlive their single use. The two passes walk
    the tree identically (including skipping zero-trip [For] bodies), so
    every constant pass 2 looks up was interned by pass 1, and every call
-   pass 2 binds to a kernel has the arity pass 1 checked. *)
+   pass 2 binds to a kernel has the arity pass 1 checked.
+
+   Pass 2 also decides which loops fast-forward (see vm.mli), from
+   events it stamps with the code position [here ()] as it emits: a
+   loop whose body starts at position [top] contains exactly the events
+   stamped [top] or later until it closes, its nested loops' included.
+   Per int slot it keeps when a loop counting in it last opened, and the
+   last read made while such a loop was open (an own-counter read) or
+   while none was (a free read); per float slot and array, the last
+   store. When a loop closes, these stamps give its eligibility and its
+   carried state without walking its body again. *)
 let flatten (rt : Interp.runtime) (ir : Ir.t) =
   let precision = ir.Ir.precision in
   let f32 = precision = Ast.F32 in
@@ -301,6 +366,50 @@ let flatten (rt : Interp.runtime) (ir : Ir.t) =
     if id + 1 > !max_it then max_it := id + 1;
     itemp + id
   in
+  (* One stamp array for the analysis: per int slot [r], the last time a
+     loop counting in it opened ([r]), whether one is open now ([live +
+     r] is 1 while one is), and its last own-counter and free reads
+     ([own + r], [free + r]); per float slot and array, the last store
+     ([fstore + s], [astore + a]). -1 is "never". *)
+  let live = n_i and own = 2 * n_i and free = 3 * n_i in
+  let fstore = 4 * n_i in
+  let astore = fstore + n_f in
+  let stamp = Array.make (astore + n_arr) (-1) in
+  let snap_len = ref 0 and n_ff = ref 0 in
+  (* A loop that can skip iterations has three or more: the first
+     comparison is at its second back-edge. It is eligible when it
+     never reads its own counter and makes no free read of a slot a
+     loop inside it counts in. Its carried state is every float slot
+     and array stored to since [top]. *)
+  let fast_forward islot bound top =
+    let eligible = ref (bound > 2 && stamp.(own + islot) < top) in
+    for r = 0 to n_i - 1 do
+      if stamp.(r) >= top && stamp.(free + r) >= top then eligible := false
+    done;
+    if not !eligible then None
+    else begin
+      let snap = !snap_len in
+      let fslots = ref [] and arrays = ref [] in
+      for s = n_f - 1 downto 0 do
+        if stamp.(fstore + s) >= top then begin
+          fslots := s :: !fslots;
+          incr snap_len
+        end
+      done;
+      let asnap = !snap_len in
+      for a = n_arr - 1 downto 0 do
+        if stamp.(astore + a) >= top then begin
+          arrays := a :: !arrays;
+          snap_len := !snap_len + ir.Ir.arr_lens.(a)
+        end
+      done;
+      let ff =
+        { fslots = !fslots; arrays = !arrays; snap; asnap; id = !n_ff }
+      in
+      incr n_ff;
+      Some ff
+    end
+  in
   (* [icompile e id] emits code for [e] using int temps at depth [id]
      and up, returning the register holding the result — a slot or
      pooled-constant register when no code is needed. [i +- literal]
@@ -308,7 +417,9 @@ let flatten (rt : Interp.runtime) (ir : Ir.t) =
   let rec icompile (e : Ir.iexpr) id =
     match e with
     | Ir.Iconst n -> icreg n
-    | Ir.Iload s -> s
+    | Ir.Iload s ->
+      stamp.((if stamp.(live + s) > 0 then own else free) + s) <- here ();
+      s
     | Ir.Ineg e ->
       let r = icompile e id in
       let d = itreg id in
@@ -420,8 +531,11 @@ let flatten (rt : Interp.runtime) (ir : Ir.t) =
   in
   let rec emit_stmt (s : Ir.stmt) =
     match s with
-    | Ir.Store (slot, e) -> ignore (fcompile ~dst:slot e 0 0)
+    | Ir.Store (slot, e) ->
+      stamp.(fstore + slot) <- here ();
+      ignore (fcompile ~dst:slot e 0 0)
     | Ir.Store_arr (slot, idx, e) ->
+      stamp.(astore + slot) <- here ();
       let ri = icompile idx 0 in
       (* the reference engine bounds-checks before evaluating the stored
          value; Check_arr preserves that trap order *)
@@ -438,11 +552,21 @@ let flatten (rt : Interp.runtime) (ir : Ir.t) =
       List.iter emit_stmt body;
       patch site (Branch (cmp, rl, rr, here ()))
     | Ir.For { islot; bound; body } ->
+      (* the back-edge reads the counter, so a nested loop must not
+         move it; the reference engine's [for] would not notice *)
+      if stamp.(live + islot) > 0 then
+        bad "nested loop reuses the counter i%d of an enclosing loop" islot;
       if bound > 0 then begin
         emit (Iconst (islot, 0));
         let top = here () in
+        stamp.(islot) <- top;
+        stamp.(live + islot) <- 1;
         List.iter emit_stmt body;
-        emit (Loop (islot, bound, top))
+        stamp.(live + islot) <- 0;
+        emit
+          (match fast_forward islot bound top with
+          | Some ff -> Loop_ff (islot, bound, top, ff)
+          | None -> Loop (islot, bound, top))
       end
   in
   List.iter emit_stmt ir.Ir.body;
@@ -454,6 +578,8 @@ let flatten (rt : Interp.runtime) (ir : Ir.t) =
     iconsts;
     n_fregs = ftemp + !max_ft;
     n_iregs = itemp + !max_it;
+    snap_len = !snap_len;
+    n_ff = !n_ff;
     arr_lens = Array.copy ir.Ir.arr_lens;
     bindings = ir.Ir.bindings;
     comp_slot = ir.Ir.comp_slot;
@@ -475,11 +601,19 @@ let flatten (rt : Interp.runtime) (ir : Ir.t) =
 
    [exec_plain] serves the common case, an FP64 program without FTZ,
    where flush and rounding are the identity: it is [exec] with both
-   steps left out. Keep the two loops in step. *)
+   steps left out. Keep the two loops in step.
+
+   Both share the fast-forward back-edge ([Loop_ff]). Leaving iteration
+   c (the counter) for iteration c + 1, it compares the carried state
+   with the snapshot taken at the previous back-edge; when c > 0 and
+   nothing changed, it adds the remaining iterations times the fp_ops
+   of iteration c, leaves the counter at bound - 1 and falls through.
+   Otherwise it records the state and the op count and loops. *)
 let exec p (f : float array) (ints : int array) (arrs : float array array) =
   let code = p.code in
   let stop = Array.length code in
   let ftz = p.ftz and f32 = p.f32 and nan_taken = p.nan_cmp_taken in
+  let fsnap = p.n_fregs and isnap = p.n_iregs in
   let ops = ref 0 in
   let pc = ref 0 in
   while !pc < stop do
@@ -562,6 +696,19 @@ let exec p (f : float array) (ints : int array) (arrs : float array array) =
         Array.unsafe_set ints slot k;
         pc := back
       end
+    | Loop_ff (slot, bound, back, ff) ->
+      let c = Array.unsafe_get ints slot in
+      if c + 1 < bound then
+        if unchanged ff f arrs fsnap && c > 0 then begin
+          ops :=
+            !ops + ((bound - c - 1) * (!ops - Array.unsafe_get ints (isnap + ff.id)));
+          Array.unsafe_set ints slot (bound - 1)
+        end
+        else begin
+          Array.unsafe_set ints (isnap + ff.id) !ops;
+          Array.unsafe_set ints slot (c + 1);
+          pc := back
+        end
   done;
   !ops
 
@@ -570,6 +717,7 @@ let exec_plain p (f : float array) (ints : int array)
   let code = p.code in
   let stop = Array.length code in
   let nan_taken = p.nan_cmp_taken in
+  let fsnap = p.n_fregs and isnap = p.n_iregs in
   let ops = ref 0 in
   let pc = ref 0 in
   while !pc < stop do
@@ -639,6 +787,19 @@ let exec_plain p (f : float array) (ints : int array)
         Array.unsafe_set ints slot k;
         pc := back
       end
+    | Loop_ff (slot, bound, back, ff) ->
+      let c = Array.unsafe_get ints slot in
+      if c + 1 < bound then
+        if unchanged ff f arrs fsnap && c > 0 then begin
+          ops :=
+            !ops + ((bound - c - 1) * (!ops - Array.unsafe_get ints (isnap + ff.id)));
+          Array.unsafe_set ints slot (bound - 1)
+        end
+        else begin
+          Array.unsafe_set ints (isnap + ff.id) !ops;
+          Array.unsafe_set ints slot (c + 1);
+          pc := back
+        end
   done;
   !ops
 
@@ -648,9 +809,9 @@ let run p (inputs : Inputs.t) =
   let prec v = round p.f32 v in
   (* fresh storage: slots, temps and arrays zeroed, constant registers
      preloaded from the pools *)
-  let f = Array.make (max 1 p.n_fregs) 0.0 in
+  let f = Array.make (max 1 (p.n_fregs + p.snap_len)) 0.0 in
   Array.blit p.consts 0 f p.n_f (Array.length p.consts);
-  let ints = Array.make (max 1 p.n_iregs) 0 in
+  let ints = Array.make (max 1 (p.n_iregs + p.n_ff)) 0 in
   Array.blit p.iconsts 0 ints p.n_i (Array.length p.iconsts);
   let arrs = Array.map (fun l -> Array.make l 0.0) p.arr_lens in
   List.iter2

@@ -195,8 +195,37 @@ let test_checkpoint_load_errors () =
       check_bool
         (Printf.sprintf "%s located at line %d: %s" what n msg)
         true
-        (Util.Text.contains_sub msg (Printf.sprintf "%s: line %d:" path n))
+        (Util.Text.contains_sub msg (Printf.sprintf "%s: line %d:" path n));
+      (* the location is named once: [path: line n: path: ...] would
+         mean a decoder prefixed its own *)
+      let occurrences =
+        let n = String.length path in
+        let rec count i acc =
+          if i + n > String.length msg then acc
+          else count (i + 1) (if String.sub msg i n = path then acc + 1 else acc)
+        in
+        count 0 0
+      in
+      check_int (Printf.sprintf "%s located once: %s" what msg) 1 occurrences
   in
+  (* [replace_once sub by l] is [l] with its first [sub] replaced *)
+  let replace_once sub by l =
+    let n = String.length sub in
+    let rec find i =
+      if i + n > String.length l then Alcotest.failf "%S not in %S" sub l
+      else if String.sub l i n = sub then i
+      else find (i + 1)
+    in
+    let i = find 0 in
+    String.sub l 0 i ^ by ^ String.sub l (i + n) (String.length l - i - n)
+  in
+  damaged_at 1 "header seed" (replace_once {|"seed":11|} {|"seed":"11"|});
+  damaged_at 1 "header rng state"
+    (replace_once {|"rng":{"state":"|} {|"rng":{"state":"zz|});
+  damaged_at 1 "header schema"
+    (replace_once {|"llm4fp-checkpoint/|} {|"llm4fp-checkpoint/0|});
+  damaged_at 1 "header trace offset"
+    (replace_once {|"trace_offset":null|} {|"trace_offset":"x"|});
   damaged_at 3 "stats line" (fun _ -> {|{"schema":"llm4fp-stats/1"}|});
   damaged_at 7 "slot line" (fun l -> String.sub l 0 (String.length l / 2));
   (* drop the last line: the slot count in the header no longer matches *)

@@ -268,25 +268,166 @@ void compute(double x) {
         inputs)
     vm_runtimes
 
-let test_vm_loop_residual_counter () =
-  (* the counter slot keeps bound-1 after the loop, and a zero-trip
-     loop leaves it untouched — in both engines *)
-  let body bound =
-    [ Irsim.Ir.For
-        { islot = 0; bound; body = [ Irsim.Ir.Store (0, Irsim.Ir.Const 1.0) ] };
-      Irsim.Ir.Store (0, Irsim.Ir.Itof (Irsim.Ir.Iload 0)) ]
-  in
-  let ir bound =
-    { Irsim.Ir.precision = Ast.F64; n_fslots = 1; n_islots = 1;
-      arr_lens = [||]; bindings = []; body = body bound; comp_slot = 0 }
-  in
+(* The loops of a flattened program in code order (a nested loop closes
+   before its parent), each as its counter register and whether
+   [disasm] marks it as fast-forwarding. *)
+let loop_marks vm =
+  List.filter_map
+    (fun line ->
+      match List.filter (( <> ) "") (String.split_on_char ' ' line) with
+      | _ :: "loop" :: counter :: rest -> Some (counter, List.mem "ff" rest)
+      | _ -> None)
+    (Irsim.Vm.disasm vm)
+
+(* ---- fixed-point fast-forward ---- *)
+
+(* Run hand-built IR on the VM and the reference under the strict
+   runtime at FP64 (the plain loop) and under FTZ at FP32 (the general
+   one): equal result bits and fp_ops, the given loops marked, and, when
+   given, the reference's result and fp_ops. *)
+let check_ff name ?(n_fslots = 3) ?(n_islots = 2) ?(arr_lens = [||])
+    ?(bindings = []) ?result ?fp_ops ~marks inputs body =
   List.iter
-    (fun bound ->
-      let ir = ir bound in
-      let tree = Irsim.Interp.run strict_rt ir [] in
-      let vm = Irsim.Vm.run (Irsim.Vm.flatten strict_rt ir) [] in
-      same_outcome (Printf.sprintf "bound %d" bound) tree vm)
-    [ 5; 1; 0 ]
+    (fun (rt_name, rt, precision) ->
+      let name = name ^ "/" ^ rt_name in
+      let ir =
+        { Irsim.Ir.precision; n_fslots; n_islots; arr_lens; bindings; body;
+          comp_slot = 0 }
+      in
+      let vm = Irsim.Vm.flatten rt ir in
+      let tree = Irsim.Interp.run rt ir inputs in
+      same_outcome name tree (Irsim.Vm.run vm inputs);
+      Alcotest.(check (list (pair string bool)))
+        (name ^ ": marked loops") marks (loop_marks vm);
+      Option.iter (check_float (name ^ ": reference result") tree.Irsim.Interp.result)
+        result;
+      Option.iter (check_int (name ^ ": reference fp_ops") tree.Irsim.Interp.fp_ops)
+        fp_ops)
+    [ ("strict", strict_rt, Ast.F64);
+      ("ftz-f32", { strict_rt with Irsim.Interp.ftz = true }, Ast.F32) ]
+
+let for_ islot bound body = Irsim.Ir.For { islot; bound; body }
+let store s e = Irsim.Ir.Store (s, e)
+let load s = Irsim.Ir.Load s
+let const v = Irsim.Ir.Const v
+let bin op a b = Irsim.Ir.Bin (op, a, b)
+let sqrt_ e = Irsim.Ir.Call (Ast.Sqrt, [ e ])
+
+let test_vm_loop_residual_counter () =
+  (* the counter slot keeps bound-1 after the loop, also when the loop
+     fast-forwards, and a zero-trip loop leaves it untouched — in both
+     engines. A loop of three or more iterations fast-forwards here: its
+     state is fixed from the first iteration on. *)
+  List.iter
+    (fun (what, stored, ops) ->
+      List.iter
+        (fun bound ->
+          check_ff
+            (Printf.sprintf "%s, bound %d" what bound)
+            ~result:(float_of_int (max 0 (bound - 1)))
+            ~fp_ops:(ops * bound)
+            ~marks:(if bound > 0 then [ ("i0", bound > 2) ] else [])
+            []
+            [ for_ 0 bound [ store 0 stored ];
+              store 1 (Irsim.Ir.Itof (Irsim.Ir.Iload 0));
+              store 0 (load 1) ])
+        [ 5; 1; 0 ])
+    [ ("constant", const 1.0, 0); ("one op", bin Ast.Mul (load 0) (const 0.0), 1) ]
+
+let test_ff_converges () =
+  (* x = sqrt(x) from 2.0 reaches 1.0 and stays there *)
+  check_ff "sqrt" ~bindings:[ Irsim.Ir.Bind_fp 1 ] ~fp_ops:500
+    ~marks:[ ("i0", true) ] Irsim.Inputs.[ Fp 2.0 ]
+    [ for_ 0 500 [ store 1 (sqrt_ (load 1)) ]; store 0 (load 1) ];
+  (* x = x*x - x overflows to infinity, then inf - inf is NaN for good *)
+  check_ff "overflow" ~bindings:[ Irsim.Ir.Bind_fp 1 ] ~fp_ops:(2 * 100)
+    ~marks:[ ("i0", true) ] Irsim.Inputs.[ Fp 3.0 ]
+    [ for_ 0 100 [ store 1 (bin Ast.Sub (bin Ast.Mul (load 1) (load 1)) (load 1)) ];
+      store 0 (load 1) ]
+
+let test_ff_counter_reads () =
+  (* state that stands still for a while and then moves because of the
+     counter: a loop reading its own counter is never marked *)
+  check_ff "itof counter" ~marks:[ ("i0", false) ] []
+    [ for_ 0 10
+        [ Irsim.Ir.If
+            { lhs = Irsim.Ir.Itof (Irsim.Ir.Iload 0); cmp = Ast.Gt;
+              rhs = const 5.0;
+              body = [ store 1 (bin Ast.Add (load 1) (const 1.0)) ] } ];
+      store 0 (load 1) ];
+  check_ff "subscript counter" ~arr_lens:[| 8 |]
+    ~bindings:[ Irsim.Ir.Bind_arr (0, 8) ] ~marks:[ ("i0", false) ]
+    Irsim.Inputs.[ Arr [| 0.; 0.; 0.; 0.; 0.; 0.; 0.; 3. |] ]
+    [ for_ 0 8
+        [ store 1 (bin Ast.Add (load 1) (Irsim.Ir.Load_arr (0, Irsim.Ir.Iload 0))) ];
+      store 0 (load 1) ];
+  (* the outer loop reads the inner counter outside the inner loop: 0
+     until the inner loop first runs, in the second iteration, then 2.
+     The state after the second iteration equals the one after the
+     first, yet y moves from the third on. *)
+  let inner_counter = Irsim.Ir.Itof (Irsim.Ir.Iload 1) in
+  check_ff "nested counter outside its loop" ~fp_ops:8
+    ~marks:[ ("i1", true); ("i0", false) ] []
+    [ for_ 0 10
+        [ Irsim.Ir.If
+            { lhs = inner_counter; cmp = Ast.Gt; rhs = const 0.5;
+              body = [ store 2 (bin Ast.Add (load 2) (const 1.0)) ] };
+          Irsim.Ir.If
+            { lhs = load 1; cmp = Ast.Gt; rhs = const 0.5; body = [ for_ 1 3 [] ] };
+          store 1 (const 1.0) ];
+      store 0 (load 2) ]
+
+let test_ff_nested () =
+  (* the inner loop converges on every outer iteration; the outer loop's
+     x moves every time *)
+  check_ff "inner only" ~bindings:[ Irsim.Ir.Bind_fp 1 ]
+    ~fp_ops:((4 * (2 + 50)) + 1) ~marks:[ ("i1", true); ("i0", true) ]
+    Irsim.Inputs.[ Fp 0.5 ]
+    [ for_ 0 4
+        [ store 1 (bin Ast.Add (load 1) (const 1.0));
+          store 2 (bin Ast.Add (load 1) (const 2.0));
+          for_ 1 50 [ store 2 (sqrt_ (load 2)) ] ];
+      store 0 (bin Ast.Add (load 1) (load 2)) ];
+  (* the outer loop's state is fixed once its inner loop has converged,
+     which it skips to: the outer loop then skips the inner loop's
+     skipped operations too *)
+  check_ff "through inner" ~bindings:[ Irsim.Ir.Bind_fp 1 ]
+    ~fp_ops:(20 * 300) ~marks:[ ("i1", true); ("i0", true) ]
+    Irsim.Inputs.[ Fp 1e300 ]
+    [ for_ 0 20 [ for_ 1 300 [ store 1 (sqrt_ (load 1)) ] ]; store 0 (load 1) ]
+
+let test_ff_array_state () =
+  (* a[j] = sqrt(a[j]) over j: the inner loop reads its counter, the
+     outer one carries the whole array. a[3], copied to x, settles a few
+     outer iterations before a[1], which the result reads. *)
+  check_ff "array" ~arr_lens:[| 4 |] ~bindings:[ Irsim.Ir.Bind_arr (0, 4) ]
+    ~fp_ops:((200 * 5) + 1) ~marks:[ ("i1", false); ("i0", true) ]
+    Irsim.Inputs.[ Arr [| 2.0; 1e10; 0.25; 7.0 |] ]
+    [ for_ 0 200
+        [ for_ 1 4
+            [ Irsim.Ir.Store_arr
+                (0, Irsim.Ir.Iload 1,
+                 sqrt_ (Irsim.Ir.Load_arr (0, Irsim.Ir.Iload 1))) ];
+          store 1 (bin Ast.Mul (Irsim.Ir.Load_arr (0, Irsim.Ir.Iconst 3)) (const 1.0)) ];
+      store 0 (bin Ast.Add (load 1) (Irsim.Ir.Load_arr (0, Irsim.Ir.Iconst 1))) ]
+
+let test_ff_never_fires () =
+  (* x climbs until the branch turns off, while y keeps moving *)
+  check_ff "branch flips" ~fp_ops:(40 + 4) ~marks:[ ("i0", true) ] []
+    [ for_ 0 40
+        [ Irsim.Ir.If
+            { lhs = load 1; cmp = Ast.Lt; rhs = const 10.0;
+              body = [ store 1 (bin Ast.Add (load 1) (const 3.0)) ] };
+          store 2 (bin Ast.Add (load 2) (load 1)) ];
+      store 0 (load 2) ];
+  (* x = -x has period 2; from 0.0 the two states are -0.0 and +0.0,
+     equal under [=] but not in their bits *)
+  List.iter
+    (fun x ->
+      check_ff (Printf.sprintf "period 2 from %h" x) ~bindings:[ Irsim.Ir.Bind_fp 1 ]
+        ~marks:[ ("i0", true) ] Irsim.Inputs.[ Fp x ]
+        [ for_ 0 9 [ store 1 (Irsim.Ir.Neg (load 1)) ]; store 0 (load 1) ])
+    [ 1.5; 0.0; Float.nan ]
 
 let oob_ir =
   (* comp = a[n]: traps when n is out of [0, 8) *)
@@ -337,6 +478,24 @@ let test_vm_flatten_rejects_bad_ir () =
   in
   check_bool "wrong-arity call" true
     (try ignore (Irsim.Vm.flatten strict_rt bad_call); false
+     with Invalid_argument _ -> true);
+  (* the reference engine runs this 3 x 5 times (15.0, 15 ops); a VM
+     back-edge would read the counter the inner loop left behind *)
+  let reused_counter =
+    { bad with
+      Irsim.Ir.n_islots = 1;
+      body =
+        [ Irsim.Ir.For
+            { islot = 0; bound = 3;
+              body =
+                [ Irsim.Ir.For
+                    { islot = 0; bound = 5;
+                      body =
+                        [ Irsim.Ir.Store
+                            (0, Irsim.Ir.Bin (Ast.Add, Irsim.Ir.Load 0, Irsim.Ir.Const 1.0)) ] } ] } ] }
+  in
+  check_bool "nested loop reusing the enclosing counter" true
+    (try ignore (Irsim.Vm.flatten strict_rt reused_counter); false
      with Invalid_argument _ -> true)
 
 (* ------------------------------------------------------------------ *)
@@ -753,6 +912,15 @@ let () =
             test_vm_trap_matches_tree;
           Alcotest.test_case "flatten rejects bad IR" `Quick
             test_vm_flatten_rejects_bad_ir;
+          Alcotest.test_case "fast-forward: converge and overflow" `Quick
+            test_ff_converges;
+          Alcotest.test_case "fast-forward: counter reads" `Quick
+            test_ff_counter_reads;
+          Alcotest.test_case "fast-forward: nested loops" `Quick test_ff_nested;
+          Alcotest.test_case "fast-forward: array state" `Quick
+            test_ff_array_state;
+          Alcotest.test_case "fast-forward: never fires" `Quick
+            test_ff_never_fires;
         ] );
       ( "fold",
         [
