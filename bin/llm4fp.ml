@@ -80,8 +80,8 @@ let latency_percentiles () =
   List.filter_map
     (fun (name, v) ->
       match v with
-      | Obs.Metrics.Histogram { bounds; counts; count; _ } when count > 0 ->
-        let p q = Obs.Metrics.percentile_of ~bounds ~counts q in
+      | Obs.Metrics.Histogram { bounds; counts; count; lo; hi; _ } when count > 0 ->
+        let p q = Obs.Metrics.percentile_of ~range:(lo, hi) ~bounds ~counts q in
         Some
           {
             Report.Analytics.metric = name;
@@ -999,7 +999,8 @@ let cmd_tables =
                   ^ String.concat ", " names ^ ")."))
   in
   let max_pairs =
-    Arg.(value & opt int 50_000 & info [ "max-pairs" ] ~docv:"N"
+    Arg.(value & opt int Diversity.Codebleu.default_max_pairs
+         & info [ "max-pairs" ] ~docv:"N"
            ~doc:"CodeBLEU pair-sample bound per approach (at least 1).")
   in
   let csv =

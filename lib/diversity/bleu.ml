@@ -7,8 +7,10 @@ type table = {
   grams : Multiset.t array;
 }
 
-let table ?weight toks =
-  { len = Array.length toks; grams = Multiset.windows ?weight max_order toks }
+let table ?weights v toks =
+  let len = Array.length toks in
+  let weights = match weights with Some w -> w | None -> Array.make len 1 in
+  { len; grams = Multiset.windows v max_order ~weights toks }
 
 type overlap = { plain : int array; weighted : int array }
 

@@ -11,16 +11,19 @@ type table
 (** The n-gram multisets of one token sequence (orders 1..4), each n-gram
     carrying its count and its weight, reusable across many pairings. *)
 
-val table : ?weight:(string -> int) -> string array -> table
-(** [weight] (default 1) gives each token's weight; an n-gram weighs as
-    its heaviest token, and at least 1. *)
+val table : ?weights:int array -> Vocab.t -> int array -> table
+(** The table of one sequence of token ids of the vocabulary
+    ({!Vocab.string}); only tables of one vocabulary can be paired.
+    [weights] (default 1 each) gives each token's weight; an n-gram
+    weighs as its heaviest token, and at least 1. *)
 
 type overlap
 (** The clipped matches Σ min(c, r) of two tables, per order, plain and
     weighted. *)
 
 val overlap : table -> table -> overlap
-(** Symmetric in its arguments: one overlap serves both directions. *)
+(** Symmetric in its arguments: one overlap serves both directions.
+    @raise Invalid_argument on tables of different vocabularies. *)
 
 val directed :
   ?weighted:bool -> candidate:table -> reference:table -> overlap -> float

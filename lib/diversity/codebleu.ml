@@ -1,31 +1,52 @@
 type summary = {
   tokens : Bleu.table;
   ast : Ast_match.summary;
-  edges : Multiset.t;  (* def-use edges keyed "def\x00use" *)
+  edges : Multiset.t;  (* def-use edges, by the ids of their two names *)
 }
 
 let keyword_weight tok = if Cparse.Lex.is_keyword tok then 4 else 1
+let default_max_pairs = 50_000
+let lex p = Cparse.Lex.tokens (Lang.Pp.compute_to_string p)
 
-let tokens_of intern (p : Lang.Ast.program) =
-  Array.map
-    (fun tok -> intern (Cparse.Lex.to_string tok))
-    (Cparse.Lex.tokens (Lang.Pp.compute_to_string p))
-
-(* [intern] maps every string the summary keeps (token, subtree
-   rendering, edge) to the copy it stores. *)
-let summarize_with intern p =
+(* The summary of [p], whose tokens are [toks], in the vocabulary [v]. *)
+let summarize_lexed v p toks =
+  (* Only identifiers can be keywords. *)
+  let weights =
+    Array.map (function Cparse.Lex.Ident s -> keyword_weight s | _ -> 1) toks
+  in
+  let ids = Array.map (fun tok -> Vocab.string v (Cparse.Lex.to_string tok)) toks in
   let edges =
-    Analysis.Dataflow.edges p
-    |> List.map (fun (e : Analysis.Dataflow.edge) ->
-           intern (e.def ^ "\x00" ^ e.use))
+    Array.of_list
+      (List.map
+         (fun (e : Analysis.Dataflow.edge) ->
+           Vocab.edge v (Vocab.string v e.def) (Vocab.string v e.use))
+         (Analysis.Dataflow.edges p))
   in
   {
-    tokens = Bleu.table ~weight:keyword_weight (tokens_of intern p);
-    ast = Ast_match.summarize ~intern p;
-    edges = Multiset.of_array (Array.of_list edges);
+    tokens = Bleu.table ~weights v ids;
+    ast = Ast_match.summarize v p;
+    edges = Multiset.of_ids v edges (Array.length edges);
   }
 
-let summarize p = summarize_with Fun.id p
+let summarize_in v p = summarize_lexed v p (lex p)
+
+(* The vocabulary of every summary built on its own, behind a lock so that
+   any domain may build one; created on first use, so that a process that
+   never calls [summarize] does not carry its table. *)
+let shared = ref None
+let shared_lock = Mutex.create ()
+
+let summarize p =
+  Mutex.protect shared_lock (fun () ->
+      let v =
+        match !shared with
+        | Some v -> v
+        | None ->
+          let v = Vocab.create () in
+          shared := Some v;
+          v
+      in
+      summarize_in v p)
 
 (* The clipped matches of two summaries, component by component. Σ min is
    symmetric, so one overlap scores both directions of a pair. *)
@@ -61,20 +82,15 @@ let symmetric a b =
   *. (directed ov ~candidate:a ~reference:b
      +. directed ov ~candidate:b ~reference:a)
 
-let corpus_mean ?(max_pairs = 200_000) ~seed programs =
+let corpus_mean ?(max_pairs = default_max_pairs) ~seed programs =
   if max_pairs < 1 then invalid_arg "Codebleu.corpus_mean: max_pairs < 1";
-  (* One shared copy of each equal string, so that equal tokens,
-     subtrees and edges of different programs compare by pointer. The
-     table lives for this call only. *)
-  let shared = Hashtbl.create 4096 in
-  let intern s =
-    match Hashtbl.find_opt shared s with
-    | Some s -> s
-    | None ->
-      Hashtbl.add shared s s;
-      s
-  in
-  let summaries = Array.of_list (List.map (summarize_with intern) programs) in
+  (* One vocabulary for the call, sized from the corpus's token count;
+     the summaries keep only its identity, so the table is garbage once
+     the last summary is built. *)
+  let lexed = List.map lex programs in
+  let tokens = List.fold_left (fun n toks -> n + Array.length toks) 0 lexed in
+  let v = Vocab.create ~size:tokens () in
+  let summaries = Array.of_list (List.map2 (summarize_lexed v) programs lexed) in
   let n = Array.length summaries in
   if n < 2 then 0.0
   else begin

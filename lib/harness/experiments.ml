@@ -96,7 +96,7 @@ let table2_data suite =
 
 let table2 suite = render_tabular (table2_data suite)
 
-let table3_data ?(max_pairs = 50_000) ?(jobs = 1) suite =
+let table3_data ?max_pairs ?(jobs = 1) suite =
   (* Diversity scoring is the one post-campaign stage heavy enough to
      matter (O(pairs) CodeBLEU): fan the four independent corpora across
      the pool. *)
@@ -105,7 +105,7 @@ let table3_data ?(max_pairs = 50_000) ?(jobs = 1) suite =
       (fun (o : Campaign.outcome) ->
         let codebleu =
           Obs.Span.with_span "diversity.codebleu" (fun () ->
-              Diversity.Codebleu.corpus_mean ~max_pairs ~seed:suite.seed
+              Diversity.Codebleu.corpus_mean ?max_pairs ~seed:suite.seed
                 o.programs)
         in
         let clones = Diversity.Clones.analyze o.programs in

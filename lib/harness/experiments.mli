@@ -40,7 +40,8 @@ val table2 : suite -> string
 
 val table3 : ?max_pairs:int -> ?jobs:int -> suite -> string
 (** Diversity: mean pairwise CodeBLEU and clone counts. [max_pairs]
-    bounds the CodeBLEU pair sample (default 50,000 per approach);
+    bounds the CodeBLEU pair sample per approach (default
+    {!Diversity.Codebleu.default_max_pairs});
     [jobs] fans the four per-approach CodeBLEU computations across the
     {!Exec.Pool} (scores are per-corpus, so the table is identical at
     any job count). *)

@@ -20,6 +20,8 @@ type histogram = {
   counts : int array;    (* length = Array.length bounds + 1 (overflow) *)
   mutable observations : int;
   mutable sum : float;
+  mutable lo : float;    (* the smallest and largest observation *)
+  mutable hi : float;
 }
 
 type instrument = C of counter | G of gauge | H of histogram
@@ -93,6 +95,8 @@ let histogram ?(buckets = default_buckets) name =
           counts = Array.make (Array.length buckets + 1) 0;
           observations = 0;
           sum = 0.0;
+          lo = infinity;
+          hi = neg_infinity;
         }
       in
       (h, H h))
@@ -105,6 +109,8 @@ let observe h x =
   h.counts.(i) <- h.counts.(i) + 1;
   h.observations <- h.observations + 1;
   h.sum <- h.sum +. x;
+  if x < h.lo then h.lo <- x;
+  if x > h.hi then h.hi <- x;
   Mutex.unlock h.h_lock
 
 let histogram_count h =
@@ -116,9 +122,11 @@ let histogram_count h =
 let histogram_name h = h.h_name
 
 (* Prometheus-style bucket quantile: find the bucket holding rank
-   ceil(q*n) and interpolate linearly between its bounds. The overflow
-   bucket has no upper bound, so it reports the last finite one. *)
-let percentile_of ~bounds ~counts q =
+   ceil(q*n) and interpolate linearly between its bounds. Without the
+   observed range, the first bucket starts at 0 and the overflow bucket,
+   which has no upper bound, reports the last finite one; with it, the
+   bucket's edges are clamped to the range. *)
+let percentile_of ?range ~bounds ~counts q =
   if q <= 0.0 || q > 1.0 then
     invalid_arg "Obs.Metrics.percentile_of: q must be in (0, 1]";
   let n = Array.fold_left ( + ) 0 counts in
@@ -127,26 +135,33 @@ let percentile_of ~bounds ~counts q =
     let rank = int_of_float (Float.ceil (q *. float_of_int n)) in
     let rank = if rank < 1 then 1 else rank in
     let n_bounds = Array.length bounds in
+    (* the bucket holding the rank (n_bounds: the overflow bucket) and the
+       observations before it *)
     let rec find i cum_before =
-      if i >= Array.length counts - 1 then `Overflow
-      else
-        let cum = cum_before + counts.(i) in
-        if rank <= cum then `Bucket (i, cum_before) else find (i + 1) cum
+      let cum = cum_before + counts.(i) in
+      if i = n_bounds || rank <= cum then (i, cum_before) else find (i + 1) cum
     in
-    match find 0 0 with
-    | `Overflow -> bounds.(n_bounds - 1)
-    | `Bucket (i, cum_before) ->
-      let lower = if i = 0 then 0.0 else bounds.(i - 1) in
-      let upper = bounds.(i) in
+    let i, cum_before = find 0 0 in
+    let edge_lo = if i = 0 then 0.0 else bounds.(i - 1)
+    and edge_hi = if i < n_bounds then bounds.(i) else infinity in
+    let interpolate lower upper =
       let within = float_of_int (rank - cum_before) in
       lower +. ((upper -. lower) *. within /. float_of_int counts.(i))
+    in
+    match range with
+    | None when i = n_bounds -> bounds.(n_bounds - 1)
+    | None -> interpolate edge_lo edge_hi
+    | Some (lo, hi) ->
+      interpolate
+        (if i = 0 then lo else Float.max edge_lo lo)
+        (Float.min edge_hi hi)
   end
 
 let histogram_percentile h q =
   Mutex.lock h.h_lock;
-  let counts = Array.copy h.counts in
+  let counts = Array.copy h.counts and range = (h.lo, h.hi) in
   Mutex.unlock h.h_lock;
-  percentile_of ~bounds:h.bounds ~counts q
+  percentile_of ~range ~bounds:h.bounds ~counts q
 
 (* ------------------------------------------------------------------ *)
 
@@ -158,6 +173,8 @@ type value =
       counts : int array;
       count : int;
       sum : float;
+      lo : float;
+      hi : float;
     }
 
 let snapshot () =
@@ -178,6 +195,8 @@ let snapshot () =
                   counts = Array.copy h.counts;
                   count = h.observations;
                   sum = h.sum;
+                  lo = h.lo;
+                  hi = h.hi;
                 }
             in
             Mutex.unlock h.h_lock;
@@ -201,6 +220,8 @@ let reset () =
         Array.fill h.counts 0 (Array.length h.counts) 0;
         h.observations <- 0;
         h.sum <- 0.0;
+        h.lo <- infinity;
+        h.hi <- neg_infinity;
         Mutex.unlock h.h_lock)
     registry;
   Mutex.unlock registry_lock
@@ -208,7 +229,7 @@ let reset () =
 let render_value = function
   | Counter n -> ("counter", Report.Table.commas n)
   | Gauge v -> ("gauge", Printf.sprintf "%.6g" v)
-  | Histogram { bounds; counts; count; sum } ->
+  | Histogram { bounds; counts; count; sum; lo; hi } ->
     let buckets =
       Array.to_list
         (Array.mapi
@@ -220,7 +241,7 @@ let render_value = function
       (* An empty histogram has no quantiles: percentile_of returns nan
          and the dump shows "-" rather than a misleading number. *)
       let p q =
-        let v = percentile_of ~bounds ~counts q in
+        let v = percentile_of ~range:(lo, hi) ~bounds ~counts q in
         if Float.is_nan v then "-" else Printf.sprintf "%.6g" v
       in
       Printf.sprintf "  p50=%s p95=%s p99=%s" (p 0.50) (p 0.95) (p 0.99)
@@ -235,9 +256,9 @@ let render_percentiles () =
     List.filter_map
       (fun (name, v) ->
         match v with
-        | Histogram { bounds; counts; count; _ } ->
+        | Histogram { bounds; counts; count; lo; hi; _ } ->
           let p q =
-            let v = percentile_of ~bounds ~counts q in
+            let v = percentile_of ~range:(lo, hi) ~bounds ~counts q in
             if Float.is_nan v then "-" else Printf.sprintf "%.6g" v
           in
           Some [ name; string_of_int count; p 0.50; p 0.95; p 0.99 ]

@@ -39,12 +39,18 @@ val observe : histogram -> float -> unit
 val histogram_count : histogram -> int
 val histogram_name : histogram -> string
 
-val percentile_of : bounds:float array -> counts:int array -> float -> float
-(** [percentile_of ~bounds ~counts q] estimates the [q]-quantile
+val percentile_of :
+  ?range:float * float -> bounds:float array -> counts:int array -> float -> float
+(** [percentile_of ~range ~bounds ~counts q] estimates the [q]-quantile
     ([0 < q <= 1]) from fixed-bucket data by linear interpolation
     inside the bucket holding rank [ceil (q × n)] (the usual
-    Prometheus-style estimate): a value in the overflow bucket reports
-    the last finite bound. An {e empty} histogram has no quantiles and
+    Prometheus-style estimate). [range] is the smallest and largest
+    observation: the bucket's edges are clamped to it, so the estimate
+    lies within the observed range (the first bucket starts at the
+    smallest observation, the overflow bucket ends at the largest).
+    Without it the first bucket starts at 0 and a value in the overflow
+    bucket reports the last finite bound. An {e empty} histogram has no
+    quantiles and
     reports [nan] — callers that print should render it as ["-"], as
     the registry dumps here do; [nan] (unlike the [0] it used to
     return) can never be confused with a real quantile. Deterministic
@@ -52,13 +58,14 @@ val percentile_of : bounds:float array -> counts:int array -> float -> float
     seed-reproducible. *)
 
 val histogram_percentile : histogram -> float -> float
-(** {!percentile_of} on a live instrument's current contents. *)
+(** {!percentile_of} on a live instrument's current contents and
+    observed range. *)
 
 val render_percentiles : unit -> string
 (** Every registered histogram as a name-sorted p50/p95/p99 summary
-    table (the latency-percentile dump of the [profile] subcommand).
-    Histograms with no observations appear with ["-"] in each
-    percentile column. *)
+    table, each estimate clamped to the histogram's observed range (the
+    latency-percentile dump of the [profile] subcommand). Histograms
+    with no observations appear with ["-"] in each percentile column. *)
 
 type value =
   | Counter of int
@@ -68,6 +75,8 @@ type value =
       counts : int array;  (** length = bounds + 1 (overflow last) *)
       count : int;
       sum : float;
+      lo : float;  (** the smallest observation ([infinity] if none) *)
+      hi : float;  (** the largest observation ([neg_infinity] if none) *)
     }
 
 val snapshot : unit -> (string * value) list

@@ -34,13 +34,12 @@ val case : (Lang.Ast.program * Irsim.Inputs.t) Engine.arb
     program shrinks first, then the inputs. *)
 
 val colliding_tokens : (string * string) Lazy.t
-(** The first two of ["t0"], ["t1"], … with equal [Hashtbl.hash]: token
-    windows built from them tie on their hash and must still be told
-    apart. *)
+(** The first two of ["t0"], ["t1"], … with equal [Hashtbl.hash]: a
+    string table must still give them distinct ids. *)
 
 val token_windows : (int * string array * string array) Engine.arb
-(** An order bound from 1 to 16, so that window hashes also wrap, and two
-    arrays of up to 40 tokens over a seven-token alphabet that holds
-    {!colliding_tokens}. Each token is the alphabet's string or, half the
-    time, a fresh copy of it, so equal tokens are sometimes physically
-    distinct. Shrinking removes tokens. *)
+(** An order bound from 1 to 16 and two arrays of up to 40 tokens over a
+    seven-token alphabet that holds {!colliding_tokens}. Each token is
+    the alphabet's string or, half the time, a fresh copy of it, so equal
+    tokens are sometimes physically distinct. Shrinking removes
+    tokens. *)

@@ -288,8 +288,10 @@ let eft_two_prod =
 (* ------------------------------------------------------------------ *)
 (* Diversity metrics *)
 
-let tokens p =
-  Array.map Cparse.Lex.to_string
+(* The ids of a program's tokens in the vocabulary [v]. *)
+let tokens v p =
+  Array.map
+    (fun tok -> Diversity.Vocab.string v (Cparse.Lex.to_string tok))
     (Cparse.Lex.tokens (Lang.Pp.compute_to_string p))
 
 let program_pair =
@@ -301,21 +303,25 @@ let program_pair =
       let b = Gen.Varity.generate rng in
       (a, b))
 
+(* Every case builds its own vocabulary, so a long run does not grow a
+   shared one. *)
 let bleu_range =
   make_suite "bleu-range" "BLEU score of any program pair lies in [0, 1]"
     program_pair
     (fun (a, b) ->
+      let v = Diversity.Vocab.create () in
       let s =
         Diversity.Bleu.score
-          ~candidate:(Diversity.Bleu.table (tokens a))
-          ~reference:(Diversity.Bleu.table (tokens b))
+          ~candidate:(Diversity.Bleu.table v (tokens v a))
+          ~reference:(Diversity.Bleu.table v (tokens v b))
       in
       s >= 0.0 && s <= 1.0)
 
 let bleu_self =
   make_suite "bleu-self" "BLEU self-score of any program is 1" Arb.program
     (fun p ->
-      let t = Diversity.Bleu.table (tokens p) in
+      let v = Diversity.Vocab.create () in
+      let t = Diversity.Bleu.table v (tokens v p) in
       Float.abs (Diversity.Bleu.score ~candidate:t ~reference:t -. 1.0) < 1e-9)
 
 let codebleu_symmetric =
@@ -324,8 +330,9 @@ let codebleu_symmetric =
      and to the mean of the two directed scores"
     program_pair
     (fun (a, b) ->
-      let sa = Diversity.Codebleu.summarize a
-      and sb = Diversity.Codebleu.summarize b in
+      let v = Diversity.Vocab.create () in
+      let sa = Diversity.Codebleu.summarize_in v a
+      and sb = Diversity.Codebleu.summarize_in v b in
       let ab = Diversity.Codebleu.symmetric sa sb in
       same_bits ab (Diversity.Codebleu.symmetric sb sa)
       && same_bits ab
@@ -360,14 +367,19 @@ let key_weight key =
 
 let multiset_equiv =
   make_suite "multiset-equiv"
-    "Multiset.windows and inter give the naive counts: plain and weighted \
-     cardinals, and the clipped sums Σ min and Σ weight × min, at every \
-     order up to a bound of 1 to 16"
+    "The n-gram multisets of token ids give the naive counts of the token \
+     strings' windows: plain and weighted cardinals, and the clipped sums \
+     Σ min and Σ weight × min, at every order up to a bound of 1 to 16"
     Arb.token_windows
     (fun (max_n, a, b) ->
       let module M = Diversity.Multiset in
-      let wa = M.windows ~weight:window_token_weight max_n a
-      and wb = M.windows ~weight:window_token_weight max_n b in
+      let v = Diversity.Vocab.create () in
+      let windows toks =
+        M.windows v max_n
+          ~weights:(Array.map window_token_weight toks)
+          (Array.map (Diversity.Vocab.string v) toks)
+      in
+      let wa = windows a and wb = windows b in
       List.for_all
         (fun n ->
           let ca = naive_windows n a and cb = naive_windows n b in
@@ -393,6 +405,18 @@ let multiset_equiv =
           && M.inter ma mb = clipped
           && M.inter mb ma = clipped)
         (List.init max_n (fun k -> k + 1)))
+
+let subtree_ids =
+  make_suite "subtree-ids"
+    "Two subtrees of a program pair get equal ids exactly when their \
+     canonical renderings are equal"
+    program_pair
+    (fun (a, b) ->
+      let v = Diversity.Vocab.create () in
+      let ids p = Diversity.Ast_match.subtrees v p in
+      Oracle.same_partition
+        (Array.append (ids a) (ids b))
+        (Array.append (Oracle.subtree_renderings a) (Oracle.subtree_renderings b)))
 
 (* ------------------------------------------------------------------ *)
 (* Execution-engine equivalence *)
@@ -628,6 +652,7 @@ let all =
     bleu_self;
     codebleu_symmetric;
     multiset_equiv;
+    subtree_ids;
     vm_equiv;
     shared_binary_equiv;
     fleet_merge;

@@ -26,8 +26,8 @@ val all : suite list
     [dce-preserves], [forward-preserves], [contract-idempotent],
     [pp-parse-fixpoint], [case-codec-roundtrip], [digits-total],
     [chance-one-draw], [eft-two-sum], [eft-two-prod], [bleu-range],
-    [bleu-self], [codebleu-symmetric], [multiset-equiv], [vm-equiv],
-    [shared-binary-equiv], [fleet-merge]. *)
+    [bleu-self], [codebleu-symmetric], [multiset-equiv], [subtree-ids],
+    [vm-equiv], [shared-binary-equiv], [fleet-merge]. *)
 
 val find : string -> suite option
 

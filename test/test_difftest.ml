@@ -360,6 +360,24 @@ let test_trace_order_plain_sink () =
       List.for_all (fun (kind, _) -> kind = "inconsistency_found") earlier
     | _ -> false)
 
+(* Every digit difference is an integer from 1 to 16, so the histogram's
+   percentile estimates must lie there too: clamped to the observed range,
+   the first bucket no longer starts at 0 and the last one no longer ends
+   at its bound of 17. *)
+let test_digit_percentiles () =
+  Obs.Metrics.reset ();
+  ignore (Harness.Campaign.run ~budget:200 ~seed:1 Harness.Approach.Llm4fp);
+  match List.assoc_opt "difftest.digit_diffs" (Obs.Metrics.snapshot ()) with
+  | Some (Obs.Metrics.Histogram { bounds; counts; count; lo; hi; _ }) ->
+    check_bool "observed" true (count > 0);
+    List.iter
+      (fun q ->
+        let v = Obs.Metrics.percentile_of ~range:(lo, hi) ~bounds ~counts q in
+        check_bool (Printf.sprintf "p%g = %g in [1, 16]" (100. *. q) v) true
+          (v >= 1.0 && v <= 16.0))
+      [ 0.50; 0.95; 0.99 ]
+  | _ -> Alcotest.fail "no digit-difference histogram"
+
 let () =
   Alcotest.run "difftest"
     [
@@ -387,5 +405,7 @@ let () =
           Alcotest.test_case "aggregation" `Quick test_stats_aggregation_with_divergence;
           Alcotest.test_case "class level filter" `Quick test_stats_class_filter_by_level;
           Alcotest.test_case "pair index" `Quick test_pair_index;
+          Alcotest.test_case "digit-difference percentiles" `Quick
+            test_digit_percentiles;
         ] );
     ]

@@ -46,20 +46,25 @@ let tokens p =
   Array.map Cparse.Lex.to_string
     (Cparse.Lex.tokens (Lang.Pp.compute_to_string p))
 
+(* The BLEU table of a token sequence in the vocabulary [v]. *)
+let table v toks = Diversity.Bleu.table v (Array.map (Diversity.Vocab.string v) toks)
+
 let test_bleu_identical () =
-  let t = Diversity.Bleu.table (tokens p1) in
+  let t = table (Diversity.Vocab.create ()) (tokens p1) in
   check_float ~eps:1e-9 "self = 1" 1.0 (Diversity.Bleu.score ~candidate:t ~reference:t)
 
 let test_bleu_disjoint_low () =
-  let a = Diversity.Bleu.table [| "a"; "b"; "c"; "d"; "e"; "f" |] in
-  let b = Diversity.Bleu.table [| "u"; "v"; "w"; "x"; "y"; "z" |] in
+  let v = Diversity.Vocab.create () in
+  let a = table v [| "a"; "b"; "c"; "d"; "e"; "f" |] in
+  let b = table v [| "u"; "v"; "w"; "x"; "y"; "z" |] in
   check_bool "near zero" true (Diversity.Bleu.score ~candidate:a ~reference:b < 0.01)
 
 let test_bleu_brevity_penalty () =
   (* a perfectly matching prefix still scores below 1 when the candidate
      is shorter than the reference *)
-  let reference = Diversity.Bleu.table [| "a"; "b"; "c"; "d"; "e"; "f" |] in
-  let prefix = Diversity.Bleu.table [| "a"; "b"; "c" |] in
+  let v = Diversity.Vocab.create () in
+  let reference = table v [| "a"; "b"; "c"; "d"; "e"; "f" |] in
+  let prefix = table v [| "a"; "b"; "c" |] in
   let s = Diversity.Bleu.score ~candidate:prefix ~reference in
   check_bool "penalized" true (s < 0.5);
   check_bool "not zero" true (s > 0.0)
@@ -74,8 +79,9 @@ let qcheck_bleu_bounds =
   QCheck.Test.make ~name:"BLEU score in [0,1]" ~count:100
     QCheck.(pair arbitrary_program arbitrary_program)
     (fun (a, b) ->
-      let ta = Diversity.Bleu.table (tokens a) in
-      let tb = Diversity.Bleu.table (tokens b) in
+      let v = Diversity.Vocab.create () in
+      let ta = table v (tokens a) in
+      let tb = table v (tokens b) in
       let s = Diversity.Bleu.score ~candidate:ta ~reference:tb in
       s >= 0.0 && s <= 1.0)
 
@@ -83,17 +89,19 @@ let qcheck_bleu_bounds =
 (* Ast_match *)
 
 let test_ast_match_self () =
-  let s = Diversity.Ast_match.summarize p1 in
+  let s = Diversity.Ast_match.summarize (Diversity.Vocab.create ()) p1 in
   check_float ~eps:1e-9 "self" 1.0 (Diversity.Ast_match.score ~candidate:s ~reference:s)
 
 let test_ast_match_rename_invariant () =
-  let a = Diversity.Ast_match.summarize p1 in
-  let b = Diversity.Ast_match.summarize p1_renamed in
+  let v = Diversity.Vocab.create () in
+  let a = Diversity.Ast_match.summarize v p1 in
+  let b = Diversity.Ast_match.summarize v p1_renamed in
   check_float ~eps:1e-9 "renaming invisible" 1.0 (Diversity.Ast_match.score ~candidate:a ~reference:b)
 
 let test_ast_match_different_structures () =
-  let a = Diversity.Ast_match.summarize p1 in
-  let b = Diversity.Ast_match.summarize p2 in
+  let v = Diversity.Vocab.create () in
+  let a = Diversity.Ast_match.summarize v p1 in
+  let b = Diversity.Ast_match.summarize v p2 in
   check_bool "below 0.5" true (Diversity.Ast_match.score ~candidate:a ~reference:b < 0.5)
 
 (* ------------------------------------------------------------------ *)
@@ -171,15 +179,16 @@ let test_corpus_mean_rejects_max_pairs () =
       | exception Invalid_argument _ -> ())
     [ 0; -5 ]
 
-(* Two distinct tokens with equal [Hashtbl.hash]: n-gram keys tie on
-   their hash and must still be told apart. *)
+(* Two distinct tokens with equal [Hashtbl.hash]: the string table must
+   still give them distinct ids. *)
 let test_hash_collision () =
   let a, b = Lazy.force Prop.Arb.colliding_tokens in
   check_bool "distinct tokens" true (a <> b);
   check_int "equal hashes" (Hashtbl.hash a) (Hashtbl.hash b);
   let score c r =
-    Diversity.Bleu.score ~candidate:(Diversity.Bleu.table (Array.of_list c))
-      ~reference:(Diversity.Bleu.table (Array.of_list r))
+    let v = Diversity.Vocab.create () in
+    Diversity.Bleu.score ~candidate:(table v (Array.of_list c))
+      ~reference:(table v (Array.of_list r))
   in
   (* BLEU from the unigram and bigram precisions of a two-token
      candidate; orders 3 and 4 have no n-grams and count as 1 *)
@@ -192,13 +201,94 @@ let test_hash_collision () =
   check_float "one of two a's clipped, b unmatched" (bleu 0.5 1e-9)
     (score [ a; a ] [ a; b ])
 
+(* A summary pairs only within its vocabulary, and the vocabulary does
+   not change a score: the shared one of [summarize] and a fresh one give
+   the same bits. *)
+let test_vocabularies () =
+  let v = Diversity.Vocab.create () and w = Diversity.Vocab.create () in
+  let a = Diversity.Codebleu.summarize_in v p1
+  and b = Diversity.Codebleu.summarize_in v p2 in
+  let b' = Diversity.Codebleu.summarize_in w p2 in
+  let rejects name f =
+    match f () with
+    | _ -> Alcotest.failf "%s accepted summaries of two vocabularies" name
+    | exception Invalid_argument _ -> ()
+  in
+  rejects "symmetric" (fun () -> Diversity.Codebleu.symmetric a b');
+  rejects "pair_score" (fun () ->
+      Diversity.Codebleu.pair_score ~candidate:b' ~reference:a);
+  rejects "symmetric, shared and own" (fun () ->
+      Diversity.Codebleu.symmetric (Diversity.Codebleu.summarize p1) b);
+  let bits x = Int64.bits_of_float x in
+  Alcotest.(check int64) "shared and own vocabulary"
+    (bits (Diversity.Codebleu.symmetric a b))
+    (bits
+       (Diversity.Codebleu.symmetric (Diversity.Codebleu.summarize p1)
+          (Diversity.Codebleu.summarize p2)))
+
+(* The exactness of the AST component: over every subtree of the
+   programs of 25-slot campaigns of each approach, equal ids are equal
+   renderings. *)
+let test_subtree_ids () =
+  Array.iter
+    (fun approach ->
+      let programs =
+        (Harness.Campaign.run ~budget:25 ~seed:31 approach).Harness.Campaign.programs
+      in
+      let v = Diversity.Vocab.create () in
+      let ids = List.map (Diversity.Ast_match.subtrees v) programs
+      and renderings = List.map Prop.Oracle.subtree_renderings programs in
+      check_bool "subtrees" true (List.exists (fun a -> Array.length a > 0) ids);
+      check_bool (Harness.Approach.name approach) true
+        (Prop.Oracle.same_partition (Array.concat ids) (Array.concat renderings)))
+    (Array.append Harness.Approach.all [| Harness.Approach.Bandit |])
+
+(* A vocabulary past 2^16 ids, grown from the smallest table: ids take
+   three radix passes, and the counts still match a naive count. *)
+let test_large_vocabulary () =
+  let v = Diversity.Vocab.create ~size:1 () in
+  let rng = Util.Rng.of_int 5 in
+  let toks () =
+    Array.init 3_000 (fun _ ->
+        Diversity.Vocab.string v (string_of_int (Util.Rng.int rng 400)))
+  in
+  let a = toks () and b = toks () in
+  let grams t = Diversity.Multiset.windows v 4 ~weights:(Array.make 3_000 1) t in
+  let ga = grams a and gb = grams b in
+  (* more grams, to push the ids past 2^16 *)
+  for _ = 1 to 20 do ignore (grams (toks ())) done;
+  check_bool "ids past 2^16" true (Diversity.Vocab.string v "new" >= 1 lsl 16);
+  let late = grams a in
+  let naive n =
+    let count t =
+      let h = Hashtbl.create 64 in
+      for i = 0 to Array.length t - n do
+        let key = Array.sub t i n in
+        Hashtbl.replace h key (1 + Option.value ~default:0 (Hashtbl.find_opt h key))
+      done;
+      h
+    in
+    let ca = count a and cb = count b in
+    Hashtbl.fold
+      (fun key c m ->
+        match Hashtbl.find_opt cb key with Some r -> m + Int.min c r | None -> m)
+      ca 0
+  in
+  for k = 0 to 3 do
+    let expected = naive (k + 1) in
+    check_int "clipped count" expected (fst (Diversity.Multiset.inter ga.(k) gb.(k)));
+    check_int "built again" expected (fst (Diversity.Multiset.inter late.(k) gb.(k)))
+  done
+
 let qcheck_codebleu_bounds =
   QCheck.Test.make ~name:"CodeBLEU in [0,1]" ~count:60
     QCheck.(pair arbitrary_program arbitrary_program)
     (fun (a, b) ->
+      let v = Diversity.Vocab.create () in
       let s =
-        Diversity.Codebleu.symmetric (Diversity.Codebleu.summarize a)
-          (Diversity.Codebleu.summarize b)
+        Diversity.Codebleu.symmetric
+          (Diversity.Codebleu.summarize_in v a)
+          (Diversity.Codebleu.summarize_in v b)
       in
       s >= 0.0 && s <= 1.0)
 
@@ -286,6 +376,9 @@ let () =
           Alcotest.test_case "golden corpus means" `Quick test_corpus_mean_golden;
           Alcotest.test_case "max_pairs below 1" `Quick test_corpus_mean_rejects_max_pairs;
           Alcotest.test_case "hash collision" `Quick test_hash_collision;
+          Alcotest.test_case "vocabularies" `Quick test_vocabularies;
+          Alcotest.test_case "large vocabulary" `Quick test_large_vocabulary;
+          Alcotest.test_case "subtree ids over campaigns" `Quick test_subtree_ids;
           QCheck_alcotest.to_alcotest qcheck_codebleu_bounds;
         ] );
       ( "clones",

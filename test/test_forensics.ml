@@ -242,6 +242,16 @@ let test_percentiles () =
   (match Obs.Metrics.percentile_of ~bounds ~counts 0.0 with
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "q=0 accepted");
+  (* the observed range clamps the edges: the first bucket starts at the
+     smallest observation, the others end at the largest, and the
+     overflow bucket interpolates up to it *)
+  let clamped range counts q = Obs.Metrics.percentile_of ~range ~bounds ~counts q in
+  Alcotest.(check (float 1e-9)) "first bucket from the minimum" 0.9
+    (clamped (0.8, 1.5) [| 2; 2; 0; 0 |] 0.25);
+  Alcotest.(check (float 1e-9)) "p100 at the maximum" 1.5
+    (clamped (0.8, 1.5) [| 2; 2; 0; 0 |] 1.0);
+  Alcotest.(check (float 1e-9)) "overflow up to the maximum" 6.0
+    (clamped (5.0, 6.0) [| 0; 0; 0; 5 |] 1.0);
   (* registry-level accessor agrees *)
   let h = Obs.Metrics.histogram ~buckets:bounds "test.forensics.h" in
   List.iter (Obs.Metrics.observe h) [ 0.5; 0.5; 1.5; 1.5 ];
