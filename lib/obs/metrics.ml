@@ -122,11 +122,9 @@ let histogram_count h =
 let histogram_name h = h.h_name
 
 (* Prometheus-style bucket quantile: find the bucket holding rank
-   ceil(q*n) and interpolate linearly between its bounds. Without the
-   observed range, the first bucket starts at 0 and the overflow bucket,
-   which has no upper bound, reports the last finite one; with it, the
-   bucket's edges are clamped to the range. *)
-let percentile_of ?range ~bounds ~counts q =
+   ceil(q*n) and interpolate linearly between its bounds, clamped to the
+   observed range [lo, hi]. *)
+let percentile_of ~range:(lo, hi) ~bounds ~counts q =
   if q <= 0.0 || q > 1.0 then
     invalid_arg "Obs.Metrics.percentile_of: q must be in (0, 1]";
   let n = Array.fold_left ( + ) 0 counts in
@@ -142,19 +140,10 @@ let percentile_of ?range ~bounds ~counts q =
       if i = n_bounds || rank <= cum then (i, cum_before) else find (i + 1) cum
     in
     let i, cum_before = find 0 0 in
-    let edge_lo = if i = 0 then 0.0 else bounds.(i - 1)
-    and edge_hi = if i < n_bounds then bounds.(i) else infinity in
-    let interpolate lower upper =
-      let within = float_of_int (rank - cum_before) in
-      lower +. ((upper -. lower) *. within /. float_of_int counts.(i))
-    in
-    match range with
-    | None when i = n_bounds -> bounds.(n_bounds - 1)
-    | None -> interpolate edge_lo edge_hi
-    | Some (lo, hi) ->
-      interpolate
-        (if i = 0 then lo else Float.max edge_lo lo)
-        (Float.min edge_hi hi)
+    let lower = if i = 0 then lo else Float.max bounds.(i - 1) lo
+    and upper = if i < n_bounds then Float.min bounds.(i) hi else hi in
+    let within = float_of_int (rank - cum_before) in
+    lower +. ((upper -. lower) *. within /. float_of_int counts.(i))
   end
 
 let histogram_percentile h q =

@@ -40,22 +40,19 @@ val histogram_count : histogram -> int
 val histogram_name : histogram -> string
 
 val percentile_of :
-  ?range:float * float -> bounds:float array -> counts:int array -> float -> float
+  range:float * float -> bounds:float array -> counts:int array -> float -> float
 (** [percentile_of ~range ~bounds ~counts q] estimates the [q]-quantile
     ([0 < q <= 1]) from fixed-bucket data by linear interpolation
     inside the bucket holding rank [ceil (q × n)] (the usual
     Prometheus-style estimate). [range] is the smallest and largest
     observation: the bucket's edges are clamped to it, so the estimate
     lies within the observed range (the first bucket starts at the
-    smallest observation, the overflow bucket ends at the largest).
-    Without it the first bucket starts at 0 and a value in the overflow
-    bucket reports the last finite bound. An {e empty} histogram has no
-    quantiles and
-    reports [nan] — callers that print should render it as ["-"], as
-    the registry dumps here do; [nan] (unlike the [0] it used to
-    return) can never be confused with a real quantile. Deterministic
-    in the observations, so quantiles of model-time histograms are
-    seed-reproducible. *)
+    smallest observation, the overflow bucket ends at the largest). An
+    {e empty} histogram has no quantiles and reports [nan] — callers
+    that print should render it as ["-"], as the registry dumps here
+    do; [nan] (unlike the [0] it used to return) can never be confused
+    with a real quantile. Deterministic in the observations, so
+    quantiles of model-time histograms are seed-reproducible. *)
 
 val histogram_percentile : histogram -> float -> float
 (** {!percentile_of} on a live instrument's current contents and

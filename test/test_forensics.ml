@@ -230,16 +230,18 @@ let test_explain_load () =
 
 let test_percentiles () =
   let bounds = [| 1.0; 2.0; 4.0 |] in
-  let p counts q = Obs.Metrics.percentile_of ~bounds ~counts q in
+  (* a range spanning the finite buckets, so the first bucket starts at 0
+     and the overflow bucket ends at the last finite bound *)
+  let p counts q = Obs.Metrics.percentile_of ~range:(0.0, 4.0) ~bounds ~counts q in
   (* 2 observations <=1, 2 in (1,2] *)
   let counts = [| 2; 2; 0; 0 |] in
   Alcotest.(check (float 1e-9)) "p50 interpolates" 1.0 (p counts 0.50);
   Alcotest.(check (float 1e-9)) "p75 in second bucket" 1.5 (p counts 0.75);
   Alcotest.(check (float 1e-9)) "p100 tops out" 2.0 (p counts 1.0);
-  (* overflow bucket reports the last finite bound *)
+  (* the overflow bucket ends at the range's maximum *)
   Alcotest.(check (float 1e-9)) "overflow clamps" 4.0 (p [| 0; 0; 0; 5 |] 0.99);
   check_bool "empty is nan" true (Float.is_nan (p [| 0; 0; 0; 0 |] 0.5));
-  (match Obs.Metrics.percentile_of ~bounds ~counts 0.0 with
+  (match p counts 0.0 with
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "q=0 accepted");
   (* the observed range clamps the edges: the first bucket starts at the
