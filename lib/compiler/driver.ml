@@ -92,10 +92,36 @@ type front = {
   mutable f_backs : (Config.t * built) list;  (* one per distinct pipeline *)
 }
 
+(* The validator's verdict, its issues joined into one message. *)
+let validate program =
+  match Analysis.Validate.check program with
+  | Ok () -> Ok program
+  | Error issues ->
+    Error
+      (String.concat "; " (List.map Analysis.Validate.issue_to_string issues))
+
+type admitted = { a_source : string; a_program : Lang.Ast.program }
+
+let admit source =
+  match
+    Obs.Span.with_span "frontend.parse" (fun () -> Cparse.Parse.program source)
+  with
+  | Error msg -> Error (`Parse msg)
+  | Ok program -> begin
+    match
+      Obs.Span.with_span "frontend.validate" (fun () -> validate program)
+    with
+    | Error msg -> Error (`Validate msg)
+    | Ok a_program -> Ok { a_source = source; a_program }
+  end
+
+let admitted_program a = a.a_program
+
 (* [builts]: the program's back-end outputs, across both targets,
    pairwise not [Identical]; newest first. *)
 type fronts = {
   program : Lang.Ast.program;
+  admitted : admitted option;  (* its admission, [program] itself *)
   builts : built list ref;
   mutable host : (front, string) result option;
   mutable device : (front, string) result option;
@@ -120,27 +146,36 @@ let run_front_end (target : target) fronts =
     | `Host -> Lang.Pp.to_c fronts.program
     | `Device -> Lang.Pp.to_cuda fronts.program
   in
-  match Cparse.Parse.program source with
-  | Error msg -> Error (Printf.sprintf "front end: %s" msg)
+  (* A host unit byte-equal to the admitted source is the text [admit]
+     parsed and validated, so its parse is the admitted program: the
+     equality is the print-parse round trip the re-parse would check. *)
+  let checked =
+    match (target, fronts.admitted) with
+    | `Host, Some a when String.equal source a.a_source -> Ok a.a_program
+    | _ -> (
+      match Cparse.Parse.program source with
+      | Error msg -> Error (Printf.sprintf "front end: %s" msg)
+      | Ok parsed -> validate parsed)
+  in
+  match checked with
+  | Error msg -> Error msg
   | Ok parsed -> begin
-    match Analysis.Validate.check parsed with
-    | Error issues ->
-      Error
-        (String.concat "; "
-           (List.map Analysis.Validate.issue_to_string issues))
-    | Ok () -> begin
-      match Irsim.Lower.program parsed with
-      | exception Irsim.Lower.Error msg ->
-        Error (Printf.sprintf "lowering: %s" msg)
-      | ir ->
-        Ok
-          { f_source = source; f_ir = ir;
-            f_precision = parsed.Lang.Ast.precision;
-            f_builts = fronts.builts; f_backs = [] }
-    end
+    match Irsim.Lower.program parsed with
+    | exception Irsim.Lower.Error msg ->
+      Error (Printf.sprintf "lowering: %s" msg)
+    | ir ->
+      Ok
+        { f_source = source; f_ir = ir;
+          f_precision = parsed.Lang.Ast.precision;
+          f_builts = fronts.builts; f_backs = [] }
   end
 
-let fronts program = { program; builts = ref []; host = None; device = None }
+let fronts ?admitted program =
+  (match admitted with
+  | Some a when a.a_program != program ->
+    invalid_arg "Driver.fronts: the admitted program is not this program"
+  | _ -> ());
+  { program; admitted; builts = ref []; host = None; device = None }
 
 let front_end fronts (target : target) =
   let cached =

@@ -68,8 +68,33 @@ type fronts
     each target's front end runs once, on first use. Nothing in it
     outlives the program's matrix. *)
 
-val fronts : Lang.Ast.program -> fronts
-(** An empty cache for [program]; no front-end work happens yet. *)
+type admitted
+(** A generated source that parsed and validated, with its program.
+    Only {!admit} makes one. *)
+
+val admit :
+  string ->
+  (admitted, [ `Parse of string | `Validate of string ]) result
+(** Parse and validate a generated source (the [frontend.parse] and
+    [frontend.validate] spans): the campaign's admission of an LLM
+    response, and the stage that rejected it, with why. *)
+
+val admitted_program : admitted -> Lang.Ast.program
+(** The program {!admit} parsed: [Cparse.Parse.program source]. *)
+
+val fronts : ?admitted:admitted -> Lang.Ast.program -> fronts
+(** An empty cache for [program]; no front-end work happens yet.
+
+    With [admitted], the host front end reuses the admitted program
+    instead of re-parsing and re-validating the host unit, when the
+    unit it prints is byte-equal to the admitted source. The admitted
+    program is the parse of that source and validated, so it is then
+    the parse of the unit, and the byte equality is itself the
+    print-parse round trip the re-parse would check. Any other unit,
+    and every device unit, takes the parse. Everything else is
+    unchanged: the unit is printed, the [Front_end] fault site passed,
+    [compiler.frontend.runs] counted.
+    @raise Invalid_argument unless [admitted_program admitted == program]. *)
 
 val target_of : Config.t -> target
 

@@ -63,11 +63,11 @@ let cell personality level =
   (Compiler.Personality.index personality * n_levels)
   + Compiler.Optlevel.index level
 
-let test ?configs program inputs =
+let test ?configs ?admitted program inputs =
   let configs =
     match configs with Some cs -> cs | None -> Compiler.Config.all ()
   in
-  let fronts = Compiler.Driver.fronts program in
+  let fronts = Compiler.Driver.fronts ?admitted program in
   (* One pass in configuration order: compile, execute, book. The
      driver sorted the binaries into execution classes as it built them
      (post-pipeline IR and runtime equal under [Stdlib.compare],

@@ -45,6 +45,7 @@ type result = {
 
 val test :
   ?configs:Compiler.Config.t list ->
+  ?admitted:Compiler.Driver.admitted ->
   Lang.Ast.program ->
   Irsim.Inputs.t ->
   result
@@ -53,7 +54,9 @@ val test :
     successfully compiled binaries to differential testing). [configs]
     defaults to the full 18-configuration matrix; ablation studies pass
     modified matrices — campaigns build the list once and thread it
-    through every slot.
+    through every slot. [admitted], the admission of [program] when it
+    came from a generated source, goes to {!Compiler.Driver.fronts}; the
+    result is the same with or without it.
 
     One pass over the configurations, in order: each is compiled
     through one shared {!Compiler.Driver.fronts} — the front end (emit +

@@ -8,22 +8,7 @@ let type2c_key p = Pp.to_c (Ast.alpha_normalize p)
 
 (* Blind abstraction: identifiers, literals and numeric values all
    collapse; structure (operators, control flow, arities) remains. *)
-let blind_key toks =
-  let b = Buffer.create 1024 in
-  Array.iteri
-    (fun i tok ->
-      if i > 0 then Buffer.add_char b ' ';
-      Buffer.add_string b
-        (match tok with
-        | Cparse.Lex.Ident name when not (Cparse.Lex.is_keyword name) -> "id"
-        | Cparse.Lex.Ident name -> name
-        | Cparse.Lex.Float_tok _ -> "lit"
-        | Cparse.Lex.Int_tok _ -> "ilit"
-        | other -> Cparse.Lex.to_string other))
-    toks;
-  Buffer.contents b
-
-let type2_key p = blind_key (Cparse.Lex.tokens (Pp.compute_to_string p))
+let type2_key p = Cparse.Lex.blind_key (Pp.compute_to_string p)
 
 (* [Pp.to_c] prints the include lines, [compute], then [main]. The lexer
    skips the include lines, and [compute]'s closing brace is the first
@@ -31,27 +16,36 @@ let type2_key p = blind_key (Cparse.Lex.tokens (Pp.compute_to_string p))
    tokens. *)
 let type2_key_of_unit text =
   let n = String.length text in
-  let i = ref 0 in
-  while !i + 1 < n && not (text.[!i] = '\n' && text.[!i + 1] = '}') do
-    incr i
-  done;
-  blind_key (Cparse.Lex.tokens (String.sub text 0 (Int.min n (!i + 2))))
+  let rec cut i =
+    match String.index_from_opt text i '\n' with
+    | Some j when j + 1 < n -> if text.[j + 1] = '}' then j + 2 else cut (j + 1)
+    | _ -> n
+  in
+  Cparse.Lex.blind_key ~len:(cut 0) text
+
+(* A member of a Type-2 class: its stricter keys, rendered only when a
+   later program joins the class. *)
+type member = { k1 : string Lazy.t; k2c : string Lazy.t }
+
+module Classes = Hashtbl.Make (String)
 
 let analyze programs =
-  let seen1 = Hashtbl.create 64
-  and seen2c = Hashtbl.create 64
-  and seen2 = Hashtbl.create 64 in
+  let classes = Classes.create 64 in
   let type1 = ref 0 and type2c = ref 0 and type2 = ref 0 in
   List.iter
     (fun p ->
-      let k1 = type1_key p in
-      let k2c = type2c_key p and k2 = type2_key_of_unit k1 in
-      if Hashtbl.mem seen1 k1 then incr type1
-      else if Hashtbl.mem seen2c k2c then incr type2c
-      else if Hashtbl.mem seen2 k2 then incr type2;
-      Hashtbl.replace seen1 k1 ();
-      Hashtbl.replace seen2c k2c ();
-      Hashtbl.replace seen2 k2 ())
+      let k2 = type2_key p in
+      let m = { k1 = lazy (type1_key p); k2c = lazy (type2c_key p) } in
+      match Classes.find_opt classes k2 with
+      | None -> Classes.replace classes k2 [ m ]
+      | Some earlier ->
+        let same key o =
+          String.equal (Lazy.force (key o)) (Lazy.force (key m))
+        in
+        if List.exists (same (fun o -> o.k1)) earlier then incr type1
+        else if List.exists (same (fun o -> o.k2c)) earlier then incr type2c
+        else incr type2;
+        Classes.replace classes k2 (m :: earlier))
     programs;
   {
     type1 = !type1;

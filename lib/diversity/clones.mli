@@ -15,7 +15,18 @@
     Type-1 ⊆ Type-2c ⊆ Type-2. Following the paper's accounting, each
     program beyond the first member of a clone class is counted once, in
     the strictest category it satisfies, and the clone percentage is the
-    share of such programs among all generated. *)
+    share of such programs among all generated.
+
+    {!analyze} groups the programs by Type-2 key and renders a program's
+    Type-1 and Type-2c keys only once a later program joins its class.
+    That counts exactly what comparing all three keys of every program
+    would, because a program can match an earlier one's Type-1 or
+    Type-2c key only inside its own Type-2 class: equal Type-1 keys give
+    equal Type-2 keys ([type2_key_of_unit (type1_key p) = type2_key p]),
+    and equal Type-2c keys do too, because the blind key spells every
+    non-keyword identifier [id] and {!Lang.Ast.alpha_normalize} renames
+    only non-keyword identifiers, to non-keyword names, changing no
+    other token ([type2_key (alpha_normalize p) = type2_key p]). *)
 
 type report = {
   type1 : int;
@@ -32,8 +43,9 @@ val type2c_key : Lang.Ast.program -> string
 
 val type2_key_of_unit : string -> string
 (** [type2_key_of_unit (type1_key p) = type2_key p]: the Type-2 key from
-    a host unit as {!Lang.Pp.to_c} prints it, lexing only its [compute]
-    part instead of rendering [compute] again. *)
+    a host unit as {!Lang.Pp.to_c} prints it, scanning only its
+    [compute] part instead of rendering [compute] again. Both keys are
+    {!Cparse.Lex.blind_key} of the [compute] text. *)
 
 val analyze : Lang.Ast.program list -> report
 

@@ -14,7 +14,13 @@ let summarize_lexed v p toks =
   let weights =
     Array.map (function Cparse.Lex.Ident s -> keyword_weight s | _ -> 1) toks
   in
-  let ids = Array.map (fun tok -> Vocab.string v (Cparse.Lex.to_string tok)) toks in
+  let ids =
+    Array.map
+      (function
+        | Cparse.Lex.Float_tok x -> Vocab.float v x
+        | tok -> Vocab.string v (Cparse.Lex.to_string tok))
+      toks
+  in
   let edges =
     Array.of_list
       (List.map

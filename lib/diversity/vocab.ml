@@ -7,9 +7,18 @@ let field_bits = 28
 
 module Strings = Hashtbl.Make (String)
 
+(* Floats by their bits, which decide their token spelling. *)
+module Floats = Hashtbl.Make (struct
+  type t = float
+
+  let equal a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
+  let hash = Hashtbl.hash
+end)
+
 type t = {
   identity : int;
   strings : int Strings.t;
+  floats : int Floats.t;  (* the id of each float token's spelling *)
   (* open addressing, linear probing: slot i holds a packed key at 2i
      (-1 when empty) and its id at 2i + 1 *)
   mutable slots : int array;
@@ -32,6 +41,7 @@ let create ?(size = 256) () =
   {
     identity = Atomic.fetch_and_add identities 1;
     strings = Strings.create 256;
+    floats = Floats.create 64;
     slots;
     shift;
     free;
@@ -52,6 +62,14 @@ let string v s =
   | exception Not_found ->
     let id = fresh v in
     Strings.add v.strings s id;
+    id
+
+let float v x =
+  match Floats.find v.floats x with
+  | id -> id
+  | exception Not_found ->
+    let id = string v (Cparse.Lex.to_string (Cparse.Lex.Float_tok x)) in
+    Floats.add v.floats x id;
     id
 
 (* The first slot, from index [i] on, that holds [key] or is empty. The

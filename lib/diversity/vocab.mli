@@ -25,6 +25,11 @@ val identity : t -> int
 val string : t -> string -> int
 (** The id of a string. *)
 
+val float : t -> float -> int
+(** [float v x = string v (Cparse.Lex.to_string (Float_tok x))], the
+    token spelled once per distinct float of the vocabulary: a float's
+    bits decide its spelling. *)
+
 val gram : t -> int -> int -> int
 (** [gram v prefix last]: the id of the n-gram made of the n-gram (or
     token) [prefix] followed by the token [last]. *)

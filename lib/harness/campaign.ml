@@ -22,26 +22,6 @@ let m_sim_seconds = Obs.Metrics.gauge "campaign.sim_seconds"
 
 let precision_name = function Lang.Ast.F64 -> "fp64" | Lang.Ast.F32 -> "fp32"
 
-(* A generated candidate: either a program that made it through the front
-   end and validator, or the stage that rejected it and why. *)
-let admit source =
-  match
-    Obs.Span.with_span "frontend.parse" (fun () -> Cparse.Parse.program source)
-  with
-  | Error msg -> Error (`Parse msg)
-  | Ok program -> begin
-    match
-      Obs.Span.with_span "frontend.validate" (fun () ->
-          Analysis.Validate.check program)
-    with
-    | Error issues ->
-      Error
-        (`Validate
-          (String.concat "; "
-             (List.map Analysis.Validate.issue_to_string issues)))
-    | Ok () -> Ok program
-  end
-
 let run ?(budget = 1000) ?(precision = Lang.Ast.F64) ?recorder ?checkpoint
     ?resume ?(slot_offset = 0) ?(grow_seeds = []) ~seed approach =
   (match checkpoint with
@@ -205,10 +185,16 @@ let run ?(budget = 1000) ?(precision = Lang.Ast.F64) ?recorder ?checkpoint
       }
   in
   let t_start = Unix.gettimeofday () in
+  (* Every LLM response passes the generation front end, parse then
+     validate; a rejected candidate costs its slot as a generation
+     failure. An admitted one keeps its admission, which spares the
+     host front end its re-parse. *)
   let llm_generate prompt =
     let response = Llm.Client.generate client prompt in
     Time_model.charge_llm clock response.Llm.Client.latency;
-    admit response.Llm.Client.source
+    Result.map
+      (fun a -> (Compiler.Driver.admitted_program a, Some a))
+      (Compiler.Driver.admit response.Llm.Client.source)
   in
   let arm_strategy = function
     | Bandit.Mutate -> `Mutate
@@ -264,9 +250,11 @@ let run ?(budget = 1000) ?(precision = Lang.Ast.F64) ?recorder ?checkpoint
     | `Mutate -> "mutate"
     | `Grow -> "grow"
   in
-  let generate strategy : (Lang.Ast.program, _) result =
+  let generate strategy :
+      (Lang.Ast.program * Compiler.Driver.admitted option, _) result =
     match strategy with
-    | `Varity -> Ok { (Gen.Varity.generate rng) with Lang.Ast.precision }
+    | `Varity ->
+      Ok ({ (Gen.Varity.generate rng) with Lang.Ast.precision }, None)
     | `Direct -> llm_generate (Llm.Prompt.Direct { precision })
     | `Grammar -> llm_generate (Llm.Prompt.Grammar { precision })
     | `Mutate ->
@@ -278,7 +266,7 @@ let run ?(budget = 1000) ?(precision = Lang.Ast.F64) ?recorder ?checkpoint
          costs framework time only. *)
       let pool = grow_seeds @ !successful in
       let sprout = Util.Rng.choose_list rng pool in
-      Ok { (Gen.Grow.grow rng sprout) with Lang.Ast.precision }
+      Ok ({ (Gen.Grow.grow rng sprout) with Lang.Ast.precision }, None)
   in
   (* Per strategy, not per approach: under the bandit a Varity slot
      keeps Varity's input ranges and LLM arms keep the LLM config —
@@ -345,7 +333,7 @@ let run ?(budget = 1000) ?(precision = Lang.Ast.F64) ?recorder ?checkpoint
                    sim_s = Util.Sim_clock.elapsed clock;
                  })
           end
-        | Ok program ->
+        | Ok (program, admitted) ->
           programs := program :: !programs;
           let inputs =
             Gen.Generate.gen_inputs input_rng (input_config strategy) program
@@ -353,7 +341,9 @@ let run ?(budget = 1000) ?(precision = Lang.Ast.F64) ?recorder ?checkpoint
           cases := (program, inputs) :: !cases;
           let result =
             Obs.Span.with_span "campaign.difftest" (fun () ->
-                let result = Difftest.Run.test ~configs program inputs in
+                let result =
+                  Difftest.Run.test ~configs ?admitted program inputs
+                in
                 Time_model.charge_program clock
                   ~work:result.Difftest.Run.total_work
                   ~ops:result.Difftest.Run.total_ops

@@ -111,13 +111,6 @@ val check_resume : dir:string -> Checkpoint.t -> (unit, string) result
     line 1, so a resume can refuse it before any slot runs instead of
     {!run} raising [Invalid_argument]. Call it right after the load. *)
 
-val admit :
-  string ->
-  (Lang.Ast.program, [ `Parse of string | `Validate of string ]) result
-(** The generation front end every LLM response passes: parse, then
-    validate. A rejected candidate costs its slot as a generation
-    failure. *)
-
 val signature : outcome -> int * int * int * int * float
 (** (total inconsistencies, total comparisons, feedback-set size,
     generation failures, simulated seconds): the outcome fields that

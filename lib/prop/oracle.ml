@@ -85,3 +85,42 @@ let same_partition ids renderings =
   && Array.for_all2
        (fun id r -> agrees by_id id r && agrees by_rendering r id)
        ids renderings
+
+let blind_key toks =
+  let b = Buffer.create 1024 in
+  Array.iteri
+    (fun i tok ->
+      if i > 0 then Buffer.add_char b ' ';
+      Buffer.add_string b
+        (match tok with
+        | Cparse.Lex.Ident name when not (Cparse.Lex.is_keyword name) -> "id"
+        | Cparse.Lex.Ident name -> name
+        | Cparse.Lex.Float_tok _ -> "lit"
+        | Cparse.Lex.Int_tok _ -> "ilit"
+        | other -> Cparse.Lex.to_string other))
+    toks;
+  Buffer.contents b
+
+let clones programs =
+  let seen1 = Hashtbl.create 64
+  and seen2c = Hashtbl.create 64
+  and seen2 = Hashtbl.create 64 in
+  let type1 = ref 0 and type2c = ref 0 and type2 = ref 0 in
+  List.iter
+    (fun p ->
+      let k1 = Diversity.Clones.type1_key p in
+      let k2c = Diversity.Clones.type2c_key p
+      and k2 = blind_key (Cparse.Lex.tokens (Lang.Pp.compute_to_string p)) in
+      if Hashtbl.mem seen1 k1 then incr type1
+      else if Hashtbl.mem seen2c k2c then incr type2c
+      else if Hashtbl.mem seen2 k2 then incr type2;
+      Hashtbl.replace seen1 k1 ();
+      Hashtbl.replace seen2c k2c ();
+      Hashtbl.replace seen2 k2 ())
+    programs;
+  {
+    Diversity.Clones.type1 = !type1;
+    type2 = !type2;
+    type2c = !type2c;
+    total_programs = List.length programs;
+  }

@@ -418,6 +418,75 @@ let subtree_ids =
         (Array.append (ids a) (ids b))
         (Array.append (Oracle.subtree_renderings a) (Oracle.subtree_renderings b)))
 
+(* The scanner's two consumers. Texts are a cut of the case's own unit
+   with fragments around it that reach every scanner rule: numerals of
+   every shape (an 18-digit int, a 19-digit run that overflows, a
+   bare exponent), comment and string openers, escapes, and printable
+   bytes that no rule accepts. *)
+let text_fragments =
+  [| " "; "\n"; "\t"; "x"; "comp"; "sin"; "__global__"; "0"; "7"; "1.5";
+     ".5"; "1."; "1e"; "2e+"; "3E-4"; "5f"; "1.5F"; "123456789012345678";
+     "4611686018427387904"; "99999999999999999999"; "\""; "\\"; "/*";
+     "*/"; "//"; "#"; "+"; "++"; "+="; "-="; "*="; "/"; "<<"; "<="; ">>";
+     ">="; "=="; "!"; "!="; "("; "}"; "["; ";"; "&"; "." |]
+
+let gen_text rng unit =
+  let b = Buffer.create 256 in
+  let add_fragments () =
+    for _ = 1 to Util.Rng.int_in rng 0 12 do
+      if Util.Rng.chance rng 0.15 then
+        Buffer.add_char b (Char.chr (Util.Rng.int_in rng 32 126))
+      else Buffer.add_string b (Util.Rng.choose rng text_fragments)
+    done
+  in
+  add_fragments ();
+  let a = Util.Rng.int_in rng 0 (String.length unit) in
+  Buffer.add_string b
+    (String.sub unit a (Util.Rng.int_in rng 0 (String.length unit - a)));
+  add_fragments ();
+  Buffer.contents b
+
+let blind_case =
+  {
+    Engine.gen =
+      (fun rng ->
+        let p = program_either_precision.Engine.gen rng in
+        (p, gen_text rng (Lang.Pp.to_c p)));
+    shrink =
+      (fun (p, text) ->
+        Seq.append
+          (Seq.map (fun p -> (p, text)) (Arb.shrink_program p))
+          (if text = "" then Seq.empty
+           else
+             Seq.return (p, String.sub text 0 (String.length text / 2))));
+    print =
+      (fun (p, text) ->
+        Printf.sprintf "%s\n--- text ---\n\"%s\"" (Lang.Pp.to_c p)
+          (String.escaped text));
+  }
+
+let blind_key =
+  make_suite "blind-key"
+    "the scanner's Type-2 key of the host unit and of the compute text \
+     equals the token-based key and the key of the alpha-normalized \
+     program; on any text it raises the lexer's error exactly when the \
+     token array does"
+    blind_case
+    (fun (p, text) ->
+      let outcome f s =
+        match f s with v -> Ok v | exception Cparse.Lex.Error msg -> Error msg
+      in
+      let oracle s = Oracle.blind_key (Cparse.Lex.tokens s) in
+      let compute = Lang.Pp.compute_to_string p in
+      let key = Cparse.Lex.blind_key compute in
+      let half = String.length text / 2 in
+      key = oracle compute
+      && Diversity.Clones.type2_key_of_unit (Lang.Pp.to_c p) = key
+      && Diversity.Clones.type2_key (Lang.Ast.alpha_normalize p) = key
+      && outcome Cparse.Lex.blind_key text = outcome oracle text
+      && outcome (Cparse.Lex.blind_key ~len:half) text
+         = outcome oracle (String.sub text 0 half))
+
 (* ------------------------------------------------------------------ *)
 (* Execution-engine equivalence *)
 
@@ -653,6 +722,7 @@ let all =
     codebleu_symmetric;
     multiset_equiv;
     subtree_ids;
+    blind_key;
     vm_equiv;
     shared_binary_equiv;
     fleet_merge;

@@ -27,7 +27,7 @@ val all : suite list
     [pp-parse-fixpoint], [case-codec-roundtrip], [digits-total],
     [chance-one-draw], [eft-two-sum], [eft-two-prod], [bleu-range],
     [bleu-self], [codebleu-symmetric], [multiset-equiv], [subtree-ids],
-    [vm-equiv], [shared-binary-equiv], [fleet-merge]. *)
+    [blind-key], [vm-equiv], [shared-binary-equiv], [fleet-merge]. *)
 
 val find : string -> suite option
 

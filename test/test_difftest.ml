@@ -378,6 +378,149 @@ let test_digit_percentiles () =
       [ 0.50; 0.95; 0.99 ]
   | _ -> Alcotest.fail "no digit-difference histogram"
 
+(* ------------------------------------------------------------------ *)
+(* The admitted front end *)
+
+(* Everything a result reports, as text: outputs (value bits, hex, ops,
+   work), failures, and both comparison families. *)
+let result_text (r : Difftest.Run.result) =
+  let b = Buffer.create 4096 in
+  let output (o : Difftest.Run.output) =
+    Printf.bprintf b "%s %Lx %s %d %d\n"
+      (Compiler.Config.name o.config) (Int64.bits_of_float o.value) o.hex
+      o.ops o.work
+  in
+  let comparison (c : Difftest.Run.comparison) =
+    Printf.bprintf b "%s %s %s %s %b %s %s %d\n"
+      (Compiler.Optlevel.name c.level)
+      (Compiler.Config.name c.left.config) c.left.hex c.right.hex
+      c.inconsistent
+      (Fp.Bits.class_name c.class_left) (Fp.Bits.class_name c.class_right)
+      c.digits
+  in
+  List.iter output r.outputs;
+  List.iter
+    (fun ((c : Compiler.Config.t), msg) ->
+      Printf.bprintf b "failed %s: %s\n" (Compiler.Config.name c) msg)
+    r.failures;
+  List.iter (fun (_, c) -> comparison c) r.cross;
+  List.iter (fun (_, c) -> comparison c) r.within;
+  Printf.bprintf b "%d %d\n" r.total_work r.total_ops;
+  Buffer.contents b
+
+let admit_exn source =
+  match Compiler.Driver.admit source with
+  | Ok a -> a
+  | Error (`Parse msg | `Validate msg) -> Alcotest.fail msg
+
+(* Every program of 25-slot campaigns of each LLM approach, at both
+   precisions, admitted from its host unit as the campaign admitted its
+   response: the admitted front end gives the parse path's result. *)
+let test_admitted_equals_parse () =
+  List.iter
+    (fun precision ->
+      List.iter
+        (fun approach ->
+          let o = Harness.Campaign.run ~budget:25 ~precision ~seed:23 approach in
+          check_bool "campaign kept cases" true (o.Harness.Campaign.cases <> []);
+          List.iter
+            (fun (p, inputs) ->
+              let a = admit_exn (Lang.Pp.to_c p) in
+              let q = Compiler.Driver.admitted_program a in
+              check_string (Harness.Approach.name approach)
+                (result_text (Difftest.Run.test p inputs))
+                (result_text (Difftest.Run.test ~admitted:a q inputs)))
+            o.Harness.Campaign.cases)
+        Harness.Approach.[ Direct_prompt; Grammar_guided; Llm4fp ])
+    [ Lang.Ast.F64; Lang.Ast.F32 ]
+
+(* A source that admits but does not re-print byte for byte (a comment,
+   a blank line) takes the parse path: every configuration gets the
+   binary it gets without an admission. *)
+let test_admitted_reprint_differs () =
+  let p = parse chaotic in
+  let unit = Lang.Pp.to_c p in
+  List.iter
+    (fun source ->
+      let a = admit_exn source in
+      let q = Compiler.Driver.admitted_program a in
+      check_bool "re-prints differently" true (Lang.Pp.to_c q <> source);
+      let plain = Compiler.Driver.fronts q
+      and admitted = Compiler.Driver.fronts ~admitted:a q in
+      List.iter
+        (fun config ->
+          match
+            ( Compiler.Driver.compile_with plain config,
+              Compiler.Driver.compile_with admitted config )
+          with
+          | Ok x, Ok y ->
+            let name = Compiler.Config.name config in
+            check_string (name ^ " unit") x.Compiler.Driver.source y.source;
+            check_int (name ^ " work") x.work y.work;
+            check_bool (name ^ " ir") true
+              (Irsim.Ir.likeness x.ir y.ir = Irsim.Ir.Identical)
+          | _ -> Alcotest.fail "a configuration failed")
+        (Compiler.Config.all ()))
+    [ "// generated\n" ^ unit; "\n" ^ unit; unit ^ "\n" ]
+
+let test_fronts_rejects_other_program () =
+  let a = admit_exn (Lang.Pp.to_c (parse chaotic)) in
+  (* structurally equal, physically another program *)
+  let other = parse (Lang.Pp.to_c (Compiler.Driver.admitted_program a)) in
+  match Compiler.Driver.fronts ~admitted:a other with
+  | exception Invalid_argument _ -> ()
+  | _ -> Alcotest.fail "fronts accepted an admission of another program"
+
+(* A front-end fault is retried and costs only simulated time, on the
+   admitted path as on the parse path: the admitted host front end
+   passes the fault site and counts its run, and the campaign archives
+   the cases of a clean one. *)
+let test_frontend_fault_same_cases () =
+  let retries = Obs.Metrics.counter "retry.compiler.retries"
+  and runs = Obs.Metrics.counter "compiler.frontend.runs" in
+  let a = admit_exn (Lang.Pp.to_c (parse chaotic)) in
+  let fronts =
+    Compiler.Driver.fronts ~admitted:a (Compiler.Driver.admitted_program a)
+  in
+  let host =
+    List.find
+      (fun c -> Compiler.Driver.target_of c = `Host)
+      (Compiler.Config.all ())
+  in
+  let retries_before = Obs.Metrics.counter_value retries
+  and runs_before = Obs.Metrics.counter_value runs in
+  (Fun.protect ~finally:Exec.Faults.disarm @@ fun () ->
+   (match Exec.Faults.parse "frontend@1:fail" with
+    | Ok plan -> Exec.Faults.arm plan
+    | Error msg -> Alcotest.fail msg);
+   check_bool "admitted host unit compiles" true
+     (Result.is_ok (Compiler.Driver.compile_with fronts host)));
+  check_int "admitted host front end retried" (retries_before + 1)
+    (Obs.Metrics.counter_value retries);
+  check_int "admitted host front end counted" (runs_before + 1)
+    (Obs.Metrics.counter_value runs);
+  let archive faults =
+    with_tmpdir ~prefix:"llm4fp-frontend-fault" @@ fun dir ->
+    Fun.protect ~finally:Exec.Faults.disarm @@ fun () ->
+    Option.iter
+      (fun spec ->
+        match Exec.Faults.parse spec with
+        | Ok plan -> Exec.Faults.arm plan
+        | Error msg -> Alcotest.fail msg)
+      faults;
+    let recorder = Difftest.Recorder.create ~dir in
+    ignore
+      (Harness.Campaign.run ~budget:40 ~recorder ~seed:99 Harness.Approach.Llm4fp);
+    archive_bytes dir
+  in
+  let clean = archive None in
+  let before = Obs.Metrics.counter_value retries in
+  let faulted = archive (Some "frontend@5:fail") in
+  check_bool "the fault fired and was retried" true
+    (Obs.Metrics.counter_value retries > before);
+  check_bool "cases archived" true (clean <> []);
+  check_bool "same cases" true (clean = faulted)
+
 let () =
   Alcotest.run "difftest"
     [
@@ -397,6 +540,17 @@ let () =
           Alcotest.test_case "coverage keys" `Quick test_coverage_keys;
           Alcotest.test_case "trace order without a reordering sink" `Quick
             test_trace_order_plain_sink;
+        ] );
+      ( "admitted",
+        [
+          Alcotest.test_case "equals the parse path" `Quick
+            test_admitted_equals_parse;
+          Alcotest.test_case "re-print differs: parse path" `Quick
+            test_admitted_reprint_differs;
+          Alcotest.test_case "another program rejected" `Quick
+            test_fronts_rejects_other_program;
+          Alcotest.test_case "front-end fault: same cases" `Quick
+            test_frontend_fault_same_cases;
         ] );
       ( "stats",
         [

@@ -226,6 +226,24 @@ let test_vocabularies () =
        (Diversity.Codebleu.symmetric (Diversity.Codebleu.summarize p1)
           (Diversity.Codebleu.summarize p2)))
 
+(* A float token's id is its spelling's id, whether the float or the
+   spelling is seen first; the bits decide it, so 0.0 and -0.0 differ. *)
+let test_float_ids () =
+  let v = Diversity.Vocab.create () in
+  let spelled x = Cparse.Lex.to_string (Cparse.Lex.Float_tok x) in
+  let xs = [ 0.0; -0.0; 1.5; 0.1; 1e300; 5e-324; infinity; neg_infinity; nan ] in
+  List.iteri
+    (fun i x ->
+      let id =
+        if i mod 2 = 0 then Diversity.Vocab.float v x
+        else Diversity.Vocab.string v (spelled x)
+      in
+      check_int (spelled x) id (Diversity.Vocab.string v (spelled x));
+      check_int (spelled x ^ " again") id (Diversity.Vocab.float v x))
+    xs;
+  check_bool "0.0 and -0.0" true
+    (Diversity.Vocab.float v 0.0 <> Diversity.Vocab.float v (-0.0))
+
 (* The exactness of the AST component: over every subtree of the
    programs of 25-slot campaigns of each approach, equal ids are equal
    renderings. *)
@@ -323,24 +341,55 @@ let test_analyze_buckets () =
   check_int "total" 4 r.Diversity.Clones.total_programs;
   Alcotest.(check (float 0.01)) "percentage" 50.0 (Diversity.Clones.percentage r)
 
-(* The key from a program's host unit, which the client and [analyze]
-   already hold, is the key of the program: every program of 25-slot
-   campaigns of each approach, at both precisions. *)
+(* 25-slot campaigns of each approach, at both precisions. *)
+let campaigns_25 =
+  lazy
+    (List.concat_map
+       (fun precision ->
+         List.map
+           (fun approach ->
+             Harness.Campaign.run ~budget:25 ~precision ~seed:31 approach)
+           (Array.to_list
+              (Array.append Harness.Approach.all [| Harness.Approach.Bandit |])))
+       [ Lang.Ast.F64; Lang.Ast.F32 ])
+
+(* The key from a program's host unit, which the client holds, is the
+   key of the program: every program of the 25-slot campaigns. *)
 let test_type2_key_of_unit () =
   List.iter
-    (fun precision ->
-      Array.iter
-        (fun approach ->
-          let o = Harness.Campaign.run ~budget:25 ~precision ~seed:31 approach in
-          check_bool "campaign kept programs" true (o.Harness.Campaign.programs <> []);
-          List.iter
-            (fun p ->
-              check_string (Harness.Approach.name approach)
-                (Diversity.Clones.type2_key p)
-                (Diversity.Clones.type2_key_of_unit (Lang.Pp.to_c p)))
-            o.Harness.Campaign.programs)
-        (Array.append Harness.Approach.all [| Harness.Approach.Bandit |]))
-    [ Lang.Ast.F64; Lang.Ast.F32 ]
+    (fun (o : Harness.Campaign.outcome) ->
+      check_bool "campaign kept programs" true (o.Harness.Campaign.programs <> []);
+      List.iter
+        (fun p ->
+          check_string (Harness.Approach.name o.approach)
+            (Diversity.Clones.type2_key p)
+            (Diversity.Clones.type2_key_of_unit (Lang.Pp.to_c p)))
+        o.Harness.Campaign.programs)
+    (Lazy.force campaigns_25)
+
+(* [analyze] renders the stricter keys only inside a Type-2 class; it
+   counts what the eager three-table count does. Each campaign's
+   programs are a corpus, and so are the programs followed by their
+   alpha-normalized forms, which are clones of every kind. *)
+let test_analyze_equals_eager () =
+  let total = ref 0 in
+  List.iter
+    (fun (o : Harness.Campaign.outcome) ->
+      let programs = o.Harness.Campaign.programs in
+      List.iter
+        (fun corpus ->
+          let r = Diversity.Clones.analyze corpus in
+          let e = Prop.Oracle.clones corpus in
+          let name = Harness.Approach.name o.approach in
+          check_int (name ^ " type1") e.Diversity.Clones.type1 r.Diversity.Clones.type1;
+          check_int (name ^ " type2c") e.Diversity.Clones.type2c r.Diversity.Clones.type2c;
+          check_int (name ^ " type2") e.Diversity.Clones.type2 r.Diversity.Clones.type2;
+          check_int (name ^ " total") e.Diversity.Clones.total_programs
+            r.Diversity.Clones.total_programs;
+          total := !total + r.type1 + r.type2c + r.type2)
+        [ programs; programs @ List.map Lang.Ast.alpha_normalize programs ])
+    (Lazy.force campaigns_25);
+  check_bool "the corpora hold clones" true (!total > 0)
 
 let test_analyze_distinct () =
   let programs = List.init 20 (fun i -> Gen.Varity.generate (Util.Rng.of_int i)) in
@@ -377,6 +426,7 @@ let () =
           Alcotest.test_case "max_pairs below 1" `Quick test_corpus_mean_rejects_max_pairs;
           Alcotest.test_case "hash collision" `Quick test_hash_collision;
           Alcotest.test_case "vocabularies" `Quick test_vocabularies;
+          Alcotest.test_case "float ids" `Quick test_float_ids;
           Alcotest.test_case "large vocabulary" `Quick test_large_vocabulary;
           Alcotest.test_case "subtree ids over campaigns" `Quick test_subtree_ids;
           QCheck_alcotest.to_alcotest qcheck_codebleu_bounds;
@@ -389,5 +439,7 @@ let () =
           Alcotest.test_case "distinct programs" `Quick test_analyze_distinct;
           Alcotest.test_case "type-2 key of the unit text" `Quick
             test_type2_key_of_unit;
+          Alcotest.test_case "analyze equals the eager count" `Quick
+            test_analyze_equals_eager;
         ] );
     ]

@@ -296,7 +296,7 @@ let test_flaws_fire_at_both_precisions () =
           let flawed = Llm.Client.apply_flaw precision flaw source in
           check_bool "source changed" true (flawed <> source);
           check_bool "admission fails" true
-            (Result.is_error (Harness.Campaign.admit flawed)))
+            (Result.is_error (Compiler.Driver.admit flawed)))
         Llm.Client.flaws)
     [ Lang.Ast.F64; Lang.Ast.F32 ];
   let o =

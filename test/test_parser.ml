@@ -28,6 +28,23 @@ let test_tokens_numbers () =
   check_bool "leading dot" true
     (Cparse.Lex.tokens ".5" = [| Cparse.Lex.Float_tok 0.5 |])
 
+(* Up to 18 digits an int is read in place; a longer run is an int when
+   [int_of_string] takes it and a float otherwise. *)
+let test_tokens_long_digit_runs () =
+  let open Cparse.Lex in
+  List.iter
+    (fun (text, expected) ->
+      check_bool text true (tokens text = [| expected |]);
+      check_string (text ^ " blind") (blind_key text)
+        (match expected with Int_tok _ -> "ilit" | _ -> "lit"))
+    [ ("999999999999999999", Int_tok 999_999_999_999_999_999);
+      ("000000000000000000042", Int_tok 42);
+      ("1000000000000000000", Int_tok 1_000_000_000_000_000_000);
+      ("4611686018427387903", Int_tok max_int);
+      ("4611686018427387904", Float_tok 4611686018427387904.0);
+      ("9999999999999999999", Float_tok 9999999999999999999.0);
+      ("123456789012345678901234567890", Float_tok 123456789012345678901234567890.0) ]
+
 let test_tokens_comments () =
   check_bool "line comment" true
     (Cparse.Lex.tokens "a // comment\nb" = [| Cparse.Lex.Ident "a"; Cparse.Lex.Ident "b" |]);
@@ -85,7 +102,14 @@ let test_lex_error () =
 let test_is_keyword () =
   check_bool "double" true (Cparse.Lex.is_keyword "double");
   check_bool "sin" true (Cparse.Lex.is_keyword "sin");
-  check_bool "user ident" false (Cparse.Lex.is_keyword "alpha")
+  check_bool "__global__" true (Cparse.Lex.is_keyword "__global__");
+  check_bool "every math function" true
+    (Array.for_all
+       (fun fn -> Cparse.Lex.is_keyword (Ast.math_fn_name fn))
+       Ast.all_math_fns);
+  List.iter
+    (fun s -> check_bool s false (Cparse.Lex.is_keyword s))
+    [ "alpha"; ""; "doubl"; "doubles"; "sinf"; "__global__x"; "Main"; "comp" ]
 
 (* ------------------------------------------------------------------ *)
 (* Expressions *)
@@ -376,6 +400,7 @@ let () =
         [
           Alcotest.test_case "basic tokens" `Quick test_tokens_basic;
           Alcotest.test_case "numbers" `Quick test_tokens_numbers;
+          Alcotest.test_case "long digit runs" `Quick test_tokens_long_digit_runs;
           Alcotest.test_case "comments" `Quick test_tokens_comments;
           Alcotest.test_case "operators" `Quick test_tokens_operators;
           Alcotest.test_case "string literal" `Quick test_tokens_string_literal;

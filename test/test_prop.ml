@@ -168,7 +168,7 @@ let suite_case name =
   Alcotest.test_case name `Quick (fun () -> run_suite name)
 
 let test_all_suites_listed () =
-  check_int "twenty-one suites" 21 (List.length Prop.Suites.all);
+  check_int "twenty-two suites" 22 (List.length Prop.Suites.all);
   List.iter
     (fun s ->
       check_bool "documented" true (String.length s.Prop.Suites.doc > 0);
@@ -220,6 +220,7 @@ let () =
           suite_case "codebleu-symmetric";
           suite_case "multiset-equiv";
           suite_case "subtree-ids";
+          suite_case "blind-key";
           suite_case "vm-equiv";
           suite_case "shared-binary-equiv";
           suite_case "fleet-merge";
